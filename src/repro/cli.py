@@ -1120,6 +1120,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             args.synthetic, seed=args.seed, k=args.k, workers=args.workers
         )
         if args.serve is not None:
+            from .core.syndog import DetectionRecord, period_point
             from .obs import enabled_instrumentation
             from .obs.rollup import synthetic_fleet_states
 
@@ -1128,16 +1129,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                                                 seed=args.seed):
                 if state.down:
                     continue  # a down agent's tape never got a snapshot
-                obs.recorder.record(state.name, {
-                    "period_index": 0,
-                    "end_time": 20.0,
-                    "syn": state.delta,
-                    "synack": 0.0,
-                    "x": state.x,
-                    "statistic": state.cusum,
-                    "alarm": state.alarm,
-                    "degraded": state.degraded_periods > 0,
-                })
+                record = DetectionRecord(
+                    period_index=0, start_time=0.0, end_time=20.0,
+                    syn_count=state.delta, synack_count=0, k_bar=1.0,
+                    x=state.x, statistic=state.cusum, alarm=state.alarm,
+                    degraded=state.degraded_periods > 0,
+                )
+                point = period_point(record, DEFAULT_PARAMETERS.threshold)
+                obs.recorder.record(state.name, point)
             with _serving(obs, args.serve, hold=args.hold or 0.0):
                 pass
     if args.json:

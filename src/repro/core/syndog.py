@@ -22,16 +22,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.runtime import Instrumentation, resolve_instrumentation
+from ..obs.tsdb import append_period_point
 from ..packet.packet import Packet
 from .cusum import NonParametricCusum
 from .normalization import NormalizedDifference
 from .parameters import DEFAULT_PARAMETERS, SynDogParameters
 from .sniffer import CountExchange, PeriodReport
 
-__all__ = ["SynDog", "DetectionRecord", "DetectionResult", "CHECKPOINT_VERSION"]
+__all__ = ["SynDog", "DetectionRecord", "DetectionResult", "CHECKPOINT_VERSION",
+           "period_point"]
 
 #: Version tag written into every checkpoint so a future format change
 #: can refuse (or migrate) stale state instead of silently misreading it.
@@ -57,6 +59,25 @@ class DetectionRecord:
     statistic: float   #: CUSUM statistic y_n
     alarm: bool        #: decision d_N(y_n)
     degraded: bool = False  #: counts were carried forward / held, not observed
+
+
+def period_point(record: DetectionRecord, threshold: float) -> Dict[str, Any]:
+    """One period's trajectory point: the ``period`` event body, the
+    flight-recorder snapshot and the source of the ``syndog_*`` series.
+    The threshold rides along so an alarm context replays on its own."""
+    return {
+        "period_index": record.period_index,
+        "start_time": record.start_time,
+        "end_time": record.end_time,
+        "syn": record.syn_count,
+        "synack": record.synack_count,
+        "k_bar": record.k_bar,
+        "x": record.x,
+        "statistic": record.statistic,
+        "threshold": threshold,
+        "alarm": record.alarm,
+        "degraded": record.degraded,
+    }
 
 
 @dataclass(frozen=True)
@@ -150,13 +171,19 @@ class SynDog:
         self.cusum = NonParametricCusum(
             drift=parameters.drift, threshold=parameters.threshold
         )
+        # The record history is evidence (result(), records); the O(1)
+        # summary below is the agent state every view reads, folded
+        # from each record by _fold.
         self._records: List[DetectionRecord] = []
+        self._next_period_index = 0
+        self._last_record: Optional[DetectionRecord] = None
+        self._first_alarm: Optional[DetectionRecord] = None
+        self._degraded_count = 0
+        self._alarm_rises = 0
         self._prev_alarm = False
         self._freeze_k_on_alarm = freeze_k_on_alarm
-        # Degradation / restart bookkeeping: periods observed before a
-        # restore, the last real counts (carry-forward source), and how
-        # many periods in a row went missing.
-        self._period_offset = 0
+        # Degradation bookkeeping: the last real counts (carry-forward
+        # source) and how many periods in a row went missing.
         self._last_counts: Optional[Tuple[int, int]] = None
         self._consecutive_missing = 0
         # Per-period instruments; bound once (see repro.obs hot-path
@@ -211,6 +238,9 @@ class SynDog:
         self._recorder = obs.recorder if obs.recorder.enabled else None
         self._tsdb = obs.tsdb if obs.tsdb.enabled else None
         self._alerts = obs.alerts if obs.alerts.enabled else None
+        self._wants_point = (
+            obs.tsdb.enabled or obs.events.enabled or obs.recorder.enabled
+        )
         # Per-period stage: always timed in timers mode (sample_every=1)
         # — period cadence is t0 = 20 s, clocks here are cheap.
         self._prof_cusum = (
@@ -274,8 +304,7 @@ class SynDog:
     ) -> Tuple[int, float]:
         t0 = self.parameters.observation_period
         if start_time is None:
-            period_index = self._period_offset + len(self._records)
-            return period_index, period_index * t0
+            return self._next_period_index, self._next_period_index * t0
         return int(round(start_time / t0)), start_time
 
     def _ingest(
@@ -335,28 +364,35 @@ class SynDog:
         self._emit_record(record)
         return record
 
-    def _emit_record(self, record: DetectionRecord) -> None:
+    def _fold(self, record: DetectionRecord) -> None:
+        """Fold one record into the history and the O(1) summary — for
+        live periods and for periods a sharded feed closed elsewhere."""
         self._records.append(record)
+        self._next_period_index += 1
+        self._last_record = record
+        if record.degraded:
+            self._degraded_count += 1
+        if record.alarm:
+            if self._first_alarm is None:
+                self._first_alarm = record
+            if not self._prev_alarm:
+                self._alarm_rises += 1
+        self._prev_alarm = record.alarm
+
+    def _emit_record(self, record: DetectionRecord) -> None:
+        transition = record.alarm != self._prev_alarm
+        self._fold(record)
+        point = (
+            period_point(record, self.parameters.threshold)
+            if self._wants_point else None
+        )
         if self._tsdb is not None:
             # Snapshot the pipeline *before* this period's emissions
             # (the parallel merge re-creates exactly this watermark by
             # ticking before re-emitting each period event), then
             # retain the full per-period trajectory point.
-            t = record.end_time
-            self._tsdb.tick(t)
-            labels = {"agent": self.name}
-            self._tsdb.append(
-                "syndog_delta", labels, t,
-                float(record.syn_count - record.synack_count),
-            )
-            self._tsdb.append("syndog_x_n", labels, t, record.x)
-            self._tsdb.append("syndog_cusum", labels, t, record.statistic)
-            self._tsdb.append(
-                "syndog_alarm_active", labels, t, 1.0 if record.alarm else 0.0
-            )
-            self._tsdb.append(
-                "syndog_degraded", labels, t, 1.0 if record.degraded else 0.0
-            )
+            self._tsdb.tick(record.end_time)
+            append_period_point(self._tsdb, self.name, point)
         if self._m_periods is not None:
             self._m_periods.inc()
             self._m_syn.inc(record.syn_count)
@@ -367,27 +403,13 @@ class SynDog:
             self._g_alarm.set(1.0 if record.alarm else 0.0)
             if record.degraded:
                 self._m_degraded.inc()
-            if record.alarm != self._prev_alarm:
+            if transition:
                 self._m_transitions.labels(
                     "raised" if record.alarm else "cleared"
                 ).inc()
         if self._events is not None:
-            self._events.emit(
-                "period",
-                agent=self.name,
-                period_index=record.period_index,
-                start_time=record.start_time,
-                end_time=record.end_time,
-                syn=record.syn_count,
-                synack=record.synack_count,
-                k_bar=record.k_bar,
-                x=record.x,
-                statistic=record.statistic,
-                threshold=self.parameters.threshold,
-                alarm=record.alarm,
-                degraded=record.degraded,
-            )
-            if record.alarm != self._prev_alarm:
+            self._events.emit("period", agent=self.name, **point)
+            if transition:
                 self._events.emit(
                     "alarm_raised" if record.alarm else "alarm_cleared",
                     agent=self.name,
@@ -397,25 +419,7 @@ class SynDog:
                     k_bar=record.k_bar,
                 )
         if self._recorder is not None:
-            # The flight-recorder snapshot: the full trajectory point,
-            # threshold included, so an alarm_context replays on its own.
-            self._recorder.record(
-                self.name,
-                {
-                    "period_index": record.period_index,
-                    "start_time": record.start_time,
-                    "end_time": record.end_time,
-                    "syn": record.syn_count,
-                    "synack": record.synack_count,
-                    "k_bar": record.k_bar,
-                    "x": record.x,
-                    "statistic": record.statistic,
-                    "threshold": self.parameters.threshold,
-                    "alarm": record.alarm,
-                    "degraded": record.degraded,
-                },
-            )
-        self._prev_alarm = record.alarm
+            self._recorder.record(self.name, point)
         if self._alerts is not None:
             # Rules see this period's samples: evaluate after the feed.
             self._alerts.evaluate(record.end_time)
@@ -501,10 +505,23 @@ class SynDog:
     def records(self) -> Tuple[DetectionRecord, ...]:
         return tuple(self._records)
 
+    @property
+    def last_record(self) -> Optional[DetectionRecord]:
+        """The most recent period's record (None before the first)."""
+        return self._last_record
+
+    @property
+    def next_period_index(self) -> int:
+        """Periods observed, those before a restore included."""
+        return self._next_period_index
+
+    @property
+    def alarm_rises(self) -> int:
+        """Not-alarmed to alarmed transitions since built or restored."""
+        return self._alarm_rises
+
     def result(self) -> DetectionResult:
-        first_alarm = next(
-            (record for record in self._records if record.alarm), None
-        )
+        first_alarm = self._first_alarm
         return DetectionResult(
             records=tuple(self._records),
             first_alarm_period=None if first_alarm is None else first_alarm.period_index,
@@ -515,7 +532,7 @@ class SynDog:
     def degraded_periods(self) -> int:
         """How many of this agent's records were produced in degraded
         mode (carried forward or held)."""
-        return sum(1 for record in self._records if record.degraded)
+        return self._degraded_count
 
     def min_detectable_rate(self) -> float:
         """The agent's *current* detection floor (Eq. 8) given its live
@@ -538,7 +555,7 @@ class SynDog:
         return {
             "version": CHECKPOINT_VERSION,
             "name": self.name,
-            "next_period_index": self._period_offset + len(self._records),
+            "next_period_index": self._next_period_index,
             "prev_alarm": self._prev_alarm,
             "k_estimate": self.normalizer.estimator.raw_estimate,
             "cusum": self.cusum.state_dict(),
@@ -600,16 +617,7 @@ class SynDog:
             obs=obs,
             name=name if name is not None else state.get("name"),
         )
-        dog._period_offset = int(state["next_period_index"])
-        dog._prev_alarm = bool(state["prev_alarm"])
-        dog.normalizer.estimator.load(state["k_estimate"])
-        dog.cusum.load_state(state["cusum"])
-        dog.exchange.load_state(state["exchange"])
-        last_counts = state.get("last_counts")
-        dog._last_counts = (
-            None if last_counts is None else (int(last_counts[0]), int(last_counts[1]))
-        )
-        dog._consecutive_missing = int(state.get("consecutive_missing", 0))
+        dog.adopt(state, ())
         if counted and obs.registry.enabled:
             # Continuity accounting for /healthz: every restart that
             # resumed from a checkpoint instead of starting cold.
@@ -618,6 +626,28 @@ class SynDog:
                 "Detector agents rebuilt from checkpoint state",
             ).inc()
         return dog
+
+    def adopt(self, state: dict, records: Iterable[DetectionRecord]) -> None:
+        """Continue from a checkpoint *state* that another process ran on
+        from this agent's own checkpoint: fold the *records* it closed
+        (their telemetry was emitted there) into the history and summary,
+        then load the state.  :meth:`restore` is adopt with no records."""
+        for record in records:
+            self._fold(record)
+            if self._recorder is not None:
+                self._recorder.track(
+                    self.name, period_point(record, self.parameters.threshold)
+                )
+        self._next_period_index = int(state["next_period_index"])
+        self._prev_alarm = bool(state["prev_alarm"])
+        self.normalizer.estimator.load(state["k_estimate"])
+        self.cusum.load_state(state["cusum"])
+        self.exchange.load_state(state["exchange"])
+        last_counts = state.get("last_counts")
+        self._last_counts = (
+            None if last_counts is None else (int(last_counts[0]), int(last_counts[1]))
+        )
+        self._consecutive_missing = int(state.get("consecutive_missing", 0))
 
     def clear_alarm(self) -> None:
         """Operator acknowledgement: reset the CUSUM statistic to zero
@@ -633,6 +663,6 @@ class SynDog:
 
     def __repr__(self) -> str:
         return (
-            f"SynDog(periods={len(self._records)}, y={self.statistic:.4f}, "
+            f"SynDog(periods={self._next_period_index}, y={self.statistic:.4f}, "
             f"K={self.k_bar:.1f}, alarm={self.alarm})"
         )

@@ -288,11 +288,8 @@ def run_respond_arm(
         local_alerts
     )
 
-    period_records: List[Any] = []
-
     def handle(records: List[Any]) -> None:
         for record in records:
-            period_records.append(record)
             local_alerts.evaluate(record.end_time)
             engine.step(record.end_time)
 
@@ -318,7 +315,7 @@ def run_respond_arm(
     engine.finish(final_t)
 
     outcomes = network.attempt_outcomes()
-    first_alarm = next((r for r in period_records if r.alarm), None)
+    detection = dog.result()
     first_applied = next(
         (e for e in engine.timeline if e["outcome"] == "applied"), None
     )
@@ -334,10 +331,11 @@ def run_respond_arm(
         "filtered_inbound": network.filtered_inbound,
         "outcomes": [[round(t, 9), bool(ok)] for t, ok in outcomes],
         "detection": {
-            "periods": len(period_records),
-            "alarmed": first_alarm is not None,
+            "periods": len(detection.records),
+            "alarmed": detection.alarmed,
             "first_alarm_time": (
-                None if first_alarm is None else round(first_alarm.end_time, 9)
+                None if detection.first_alarm_time is None
+                else round(detection.first_alarm_time, 9)
             ),
         },
         "response": {

@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..attack.flooder import FloodSource
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
-from ..core.syndog import SynDog
+from ..core.syndog import SynDog, period_point
 from ..obs import ledger
 from ..obs.recorder import FlightRecorder
 from ..obs.runtime import (
@@ -59,7 +59,7 @@ from ..obs.runtime import (
 )
 from ..obs.slo import SLOEngine, builtin_slos
 from ..obs.tracing import Tracer
-from ..obs.tsdb import TimeSeriesDB
+from ..obs.tsdb import TimeSeriesDB, append_period_point
 from ..trace.mixer import AttackWindow, mix_flood_into_counts
 from ..trace.profiles import get_profile
 from ..trace.synthetic import generate_count_trace
@@ -290,11 +290,7 @@ def run_soak_epoch(
         "degraded_periods": sum(1 for r in records if r.degraded),
         "detected": (detected_latency is not None) if task.attack else None,
         "latency_periods": detected_latency,
-        "records": [
-            (r.syn_count, r.synack_count, r.k_bar, r.x, r.statistic,
-             r.alarm, r.degraded)
-            for r in records
-        ],
+        "records": records,
         "spans": spans,
         "events_emitted": None,
     }
@@ -541,36 +537,11 @@ def run_soak_campaign(
             capacity=recorder_capacity, post_alarm_periods=recorder_post
         ),
     )
-    labels = {"agent": _AGENT}
     for task, payload in zip(tasks, payloads):
-        offset = task.offset
-        for i, (syn, synack, k_bar, x, statistic, alarm, degraded) in (
-            enumerate(payload["records"])
-        ):
-            t = offset + (i + 1) * t0
-            store = replay_bundle.tsdb
-            store.append("syndog_delta", labels, t, float(syn - synack))
-            store.append("syndog_x_n", labels, t, x)
-            store.append("syndog_cusum", labels, t, statistic)
-            store.append(
-                "syndog_alarm_active", labels, t, 1.0 if alarm else 0.0
-            )
-            store.append(
-                "syndog_degraded", labels, t, 1.0 if degraded else 0.0
-            )
-            replay_bundle.recorder.record(
-                _AGENT,
-                {
-                    "period_index": int(round(t / t0)) - 1,
-                    "end_time": t,
-                    "statistic": statistic,
-                    "k_bar": k_bar,
-                    "x": x,
-                    "alarm": alarm,
-                    "degraded": degraded,
-                    "threshold": parameters.threshold,
-                },
-            )
+        for record in payload["records"]:
+            point = period_point(record, parameters.threshold)
+            append_period_point(replay_bundle.tsdb, _AGENT, point)
+            replay_bundle.recorder.record(_AGENT, point)
         extra = {}
         if payload["events_emitted"] is not None:
             extra["obs_ledger_event_sink_depth"] = float(

@@ -107,25 +107,16 @@ class FlightRecorder:
         (counts, K̄, X_n, y_n, threshold).  Returns the ``alarm_context``
         payload when this period completed one, else None.
         """
-        tape = self._tapes.get(agent)
-        if tape is None:
-            tape = self._tapes[agent] = _Tape(self.capacity)
-        tape.periods += 1
-        tape.last = snapshot
-        if snapshot.get("degraded"):
-            tape.degraded += 1
-        alarm = bool(snapshot.get("alarm"))
-
+        tape = self._tape(agent)
         emitted: Optional[Dict[str, Any]] = None
-        if alarm and not tape.prev_alarm:
+        if snapshot.get("alarm") and not tape.prev_alarm:
             # A new alarm while a previous context is still collecting
             # post-alarm periods: close the old one out first so every
             # transition yields exactly one context.
             if tape.pending is not None:
                 self._emit(agent, tape)
-            tape.alarms += 1
             tape.pending = {
-                "alarm_index": tape.alarms,
+                "alarm_index": tape.alarms + 1,
                 "alarm_snapshot": snapshot,
                 "pre_periods": list(tape.ring),
                 "post_periods": [],
@@ -139,9 +130,29 @@ class FlightRecorder:
         ):
             emitted = self._emit(agent, tape)
 
+        self.track(agent, snapshot)
+        return emitted
+
+    def track(self, agent: str, snapshot: Snapshot) -> None:
+        """Fold one snapshot into *agent*'s tape — ring, counters, last
+        point — without alarm-context capture: a sharded feed's
+        periods, whose contexts the worker already captured."""
+        tape = self._tape(agent)
+        tape.periods += 1
+        tape.last = snapshot
+        if snapshot.get("degraded"):
+            tape.degraded += 1
+        alarm = bool(snapshot.get("alarm"))
+        if alarm and not tape.prev_alarm:
+            tape.alarms += 1
         tape.ring.append(snapshot)
         tape.prev_alarm = alarm
-        return emitted
+
+    def _tape(self, agent: str) -> _Tape:
+        tape = self._tapes.get(agent)
+        if tape is None:
+            tape = self._tapes[agent] = _Tape(self.capacity)
+        return tape
 
     def _emit(self, agent: str, tape: _Tape) -> Dict[str, Any]:
         pending = tape.pending

@@ -81,7 +81,9 @@ __all__ = [
     "QuantileDigest",
     "ROLLUP_BUCKETS",
     "SpaceSavingTopK",
+    "agent_state",
     "rollup_from_events",
+    "rollup_from_recorder",
     "states_from_events",
     "states_from_recorder",
     "synthetic_fleet_states",
@@ -580,34 +582,36 @@ class FleetRollup:
 # ----------------------------------------------------------------------
 # Builders: recorder tapes, event logs, synthetic fleets
 # ----------------------------------------------------------------------
+def agent_state(name: str, point: Optional[Mapping[str, Any]],
+                degraded_periods: int, alarms: int, alarm: bool,
+                down: bool = False) -> AgentState:
+    """The one :class:`AgentState` builder.  *point* is the agent's last
+    trajectory point (a ``period`` event body or recorder snapshot; None
+    before its first period), *alarms* counts alarm rises."""
+    last = point or {}
+    return AgentState(
+        name=name,
+        delta=float((last.get("syn", 0) or 0) - (last.get("synack", 0) or 0)),
+        x=float(last.get("x", 0.0) or 0.0),
+        cusum=float(last.get("statistic", 0.0) or 0.0),
+        degraded_periods=int(degraded_periods),
+        alarms=int(alarms),
+        alarm=bool(alarm),
+        down=down,
+    )
+
+
 def states_from_recorder(recorder: Any) -> List[AgentState]:
     """Per-agent states from a live flight recorder (the ``/fleet``
     endpoint's source).  Recorder tapes have no liveness concept, so
     ``down`` is always False here; the federation builder owns it."""
     status = recorder.status()
-    snapshots = (
-        recorder.last_snapshots()
-        if hasattr(recorder, "last_snapshots")
-        else {}
-    )
-    states = []
-    for agent in sorted(status):
-        row = status[agent]
-        last = snapshots.get(agent) or {}
-        syn = last.get("syn", 0) or 0
-        synack = last.get("synack", 0) or 0
-        states.append(
-            AgentState(
-                name=agent,
-                delta=float(syn - synack),
-                x=float(last.get("x", 0.0) or 0.0),
-                cusum=float(row.get("statistic") or 0.0),
-                degraded_periods=int(row.get("degraded_periods", 0)),
-                alarms=int(row.get("alarms_seen", 0)),
-                alarm=bool(row.get("alarm")),
-            )
-        )
-    return states
+    snapshots = recorder.last_snapshots()
+    return [
+        agent_state(agent, snapshots.get(agent), row["degraded_periods"],
+                    row["alarms_seen"], row["alarm"])
+        for agent, row in sorted(status.items())
+    ]
 
 
 def states_from_events(events: Iterable[Mapping[str, Any]]) -> List[AgentState]:
@@ -615,7 +619,7 @@ def states_from_events(events: Iterable[Mapping[str, Any]]) -> List[AgentState]:
     ``repro fleet --events``).  ``period`` events carry the detector
     trajectory; ``federation_member_crashed``/``_restarted`` events
     toggle liveness."""
-    latest: Dict[str, Dict[str, Any]] = {}
+    latest: Dict[str, Mapping[str, Any]] = {}
     degraded: Dict[str, int] = {}
     alarms: Dict[str, int] = {}
     down: Dict[str, bool] = {}
@@ -626,7 +630,7 @@ def states_from_events(events: Iterable[Mapping[str, Any]]) -> List[AgentState]:
             continue
         agent = str(agent)
         if kind == "period":
-            latest[agent] = dict(event)
+            latest[agent] = event
             if event.get("degraded"):
                 degraded[agent] = degraded.get(agent, 0) + 1
         elif kind == "alarm_raised":
@@ -635,27 +639,16 @@ def states_from_events(events: Iterable[Mapping[str, Any]]) -> List[AgentState]:
             down[agent] = True
         elif kind == "federation_member_restarted":
             down[agent] = False
-    states = []
     # Union, not just period emitters: a member that crashed before its
     # first period still exists — dropping it would overstate quorum.
     known = set(latest) | set(down) | set(alarms) | set(degraded)
-    for agent in sorted(known):
-        last = latest.get(agent, {})
-        syn = last.get("syn", 0) or 0
-        synack = last.get("synack", 0) or 0
-        states.append(
-            AgentState(
-                name=agent,
-                delta=float(syn - synack),
-                x=float(last.get("x", 0.0) or 0.0),
-                cusum=float(last.get("statistic", 0.0) or 0.0),
-                degraded_periods=degraded.get(agent, 0),
-                alarms=alarms.get(agent, 0),
-                alarm=bool(last.get("alarm")),
-                down=down.get(agent, False),
-            )
-        )
-    return states
+    return [
+        agent_state(agent, latest.get(agent), degraded.get(agent, 0),
+                    alarms.get(agent, 0),
+                    bool(latest.get(agent, {}).get("alarm")),
+                    down.get(agent, False))
+        for agent in sorted(known)
+    ]
 
 
 def rollup_from_events(
@@ -664,16 +657,25 @@ def rollup_from_events(
     """Offline rollup: replay the log, fold the final states.  The
     watermark is the latest period end-time seen in the log."""
     materialized = list(events)
-    watermark: Optional[float] = None
-    for event in materialized:
-        if event.get("event") == "period":
-            end_time = event.get("end_time")
-            if end_time is not None and (
-                watermark is None or float(end_time) > watermark
-            ):
-                watermark = float(end_time)
+    periods = [event for event in materialized if event.get("event") == "period"]
     return FleetRollup.from_states(
-        states_from_events(materialized), k=k, watermark=watermark
+        states_from_events(materialized), k=k, watermark=_latest_end(periods)
+    )
+
+
+def rollup_from_recorder(recorder: Any, k: int = DEFAULT_TOP_K) -> FleetRollup:
+    """Live rollup over flight-recorder tapes (the ``/fleet`` document).
+    The watermark is the latest period end-time on any tape."""
+    return FleetRollup.from_states(
+        states_from_recorder(recorder), k=k,
+        watermark=_latest_end(recorder.last_snapshots().values()),
+    )
+
+
+def _latest_end(points: Iterable[Mapping[str, Any]]) -> Optional[float]:
+    return max(
+        (float(p["end_time"]) for p in points if p.get("end_time") is not None),
+        default=None,
     )
 
 

@@ -98,7 +98,7 @@ from .exporters import (
     export_tracer,
     render_prometheus,
 )
-from .rollup import DEFAULT_TOP_K, FleetRollup, states_from_recorder
+from .rollup import DEFAULT_TOP_K, rollup_from_recorder
 from .slo import SLOEngine
 from .tsdb import QueryError
 
@@ -354,18 +354,7 @@ class ObsServer:
         if recorder is None or not getattr(recorder, "enabled", False):
             return None
         with self._registry_lock:
-            states = states_from_recorder(recorder)
-            snapshots = recorder.last_snapshots()
-        watermark = None
-        for snapshot in snapshots.values():
-            end_time = snapshot.get("end_time")
-            if end_time is not None and (
-                watermark is None or float(end_time) > watermark
-            ):
-                watermark = float(end_time)
-        rollup = FleetRollup.from_states(
-            states, k=self.fleet_top_k, watermark=watermark
-        )
+            rollup = rollup_from_recorder(recorder, k=self.fleet_top_k)
         return rollup.to_dict()
 
     def events_tail(

@@ -64,6 +64,7 @@ __all__ = [
     "parse_duration",
     "parse_query",
     "tsdb_from_events",
+    "append_period_point",
     "merge_tsdb",
     "canonical_tsdb",
 ]
@@ -813,6 +814,28 @@ def parse_query(expr: str) -> Query:
 # ----------------------------------------------------------------------
 # Offline reconstruction and merge helpers
 # ----------------------------------------------------------------------
+def append_period_point(
+    tsdb: Any, agent: str, point: Dict[str, Any]
+) -> None:
+    """Append one detector trajectory point — a ``period`` event body or
+    :func:`repro.core.syndog.period_point` — as the five ``syndog_*``
+    samples (ΔSYN, X_n, y_n, alarm, degraded) at its end time."""
+    labels = {"agent": agent}
+    t = float(point.get("end_time", 0.0))
+    delta = float(point.get("syn", 0)) - float(point.get("synack", 0))
+    tsdb.append("syndog_delta", labels, t, delta)
+    tsdb.append("syndog_x_n", labels, t, float(point.get("x", 0.0)))
+    tsdb.append("syndog_cusum", labels, t, float(point.get("statistic", 0.0)))
+    # Constant 1.0 / 0.0 objects: the store retains every sample, and a
+    # fresh float per sample would cost 24 B each.
+    tsdb.append(
+        "syndog_alarm_active", labels, t, 1.0 if point.get("alarm") else 0.0
+    )
+    tsdb.append(
+        "syndog_degraded", labels, t, 1.0 if point.get("degraded") else 0.0
+    )
+
+
 def tsdb_from_events(
     events: Iterable[Dict[str, Any]],
     retention: int = 4096,
@@ -840,29 +863,13 @@ def tsdb_from_events(
             continue
         if event.get("event") != "period":
             continue
-        agent = str(event.get("agent", "unknown"))
         t = float(event.get("end_time", 0.0))
         if "seq" in event and t > last_tick:
             last_tick = t
             tsdb.append(
                 "obs_events_emitted_total", None, t, float(event["seq"])
             )
-        labels = {"agent": agent}
-        syn = float(event.get("syn", 0))
-        synack = float(event.get("synack", 0))
-        tsdb.append("syndog_delta", labels, t, syn - synack)
-        tsdb.append("syndog_x_n", labels, t, float(event.get("x", 0.0)))
-        tsdb.append(
-            "syndog_cusum", labels, t, float(event.get("statistic", 0.0))
-        )
-        tsdb.append(
-            "syndog_alarm_active", labels, t,
-            1.0 if event.get("alarm") else 0.0,
-        )
-        tsdb.append(
-            "syndog_degraded", labels, t,
-            1.0 if event.get("degraded") else 0.0,
-        )
+        append_period_point(tsdb, str(event.get("agent", "unknown")), event)
     return tsdb
 
 

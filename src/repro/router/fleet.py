@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
-from ..core.syndog import SynDog
-from ..obs.rollup import DEFAULT_TOP_K, AgentState, FleetRollup
+from ..core.syndog import SynDog, period_point
+from ..obs.rollup import DEFAULT_TOP_K, AgentState, FleetRollup, agent_state
 from ..obs.runtime import Instrumentation, resolve_instrumentation
 from ..packet.addresses import IPv4Network
 from ..packet.packet import Packet
@@ -44,8 +44,9 @@ __all__ = [
 @dataclass(frozen=True)
 class MemberFeedTask:
     """One member's feed, self-contained and picklable: the member's
-    durable state (detector checkpoint, ingress filter, MAC inventory)
-    plus its traffic — a :mod:`repro.parallel` grid item."""
+    durable state (detector checkpoint, ingress filter, MAC inventory,
+    the open period's partial counts) plus its traffic — a
+    :mod:`repro.parallel` grid item."""
 
     name: str
     router_name: str
@@ -57,6 +58,8 @@ class MemberFeedTask:
     parameters: SynDogParameters
     outbound: Tuple[Packet, ...]
     inbound: Tuple[Packet, ...]
+    pending_syn: int = 0
+    pending_synack: int = 0
 
 
 @dataclass(frozen=True)
@@ -75,16 +78,21 @@ class MemberFeedOutcome:
     inventory: Optional[object] = None
     responded: bool = False
     alarm_events: Tuple[AlarmEvent, ...] = ()
-    #: Detection records the feed produced (the checkpoint alone omits
-    #: them by design — O(n) evidence a *crash* restart must not need,
-    #: but a state *transfer* must keep for status()/result()).
+    #: Detection records the feed produced: the checkpoint omits them
+    #: (O(n) evidence a crash restart must not need); a transfer folds
+    #: them into the member's history and summary.
     records: Tuple = ()
     #: The open period's partial SYN / SYN-ACK counts.  A checkpoint
     #: deliberately drops these (a crash genuinely loses them); a
-    #: sharded feed did not crash, so they are carried across and
-    #: reinjected — the serial run's trailing flush() must see them.
+    #: sharded feed did not crash, so they are carried across both ways
+    #: and reinjected — the period's close must still count them.
     pending_syn: int = 0
     pending_synack: int = 0
+
+
+def _set_pending(detector: SynDog, syn: int, synack: int) -> None:
+    detector.exchange.outbound._count = syn
+    detector.exchange.inbound._count = synack
 
 
 def feed_member_task(
@@ -117,6 +125,7 @@ def feed_member_task(
         detector=detector,
     )
     agent._responded = task.responded
+    _set_pending(detector, task.pending_syn, task.pending_synack)
     try:
         processed = router.replay(task.outbound, task.inbound)
     except Exception as error:
@@ -468,6 +477,8 @@ class Federation:
                     parameters=self.parameters,
                     outbound=outbound_packets,
                     inbound=inbound_packets,
+                    pending_syn=agent.detector.exchange.outbound.count,
+                    pending_synack=agent.detector.exchange.inbound.count,
                 )
             )
         outcomes = run_plan(
@@ -510,9 +521,10 @@ class Federation:
     def _reinstall_fed_member(
         self, name: str, outcome: MemberFeedOutcome
     ) -> None:
-        """Adopt a remotely-fed member's state: rebuild its router and
-        agent (the restart_member pattern), replay its alarms onto the
-        federation bus, retain its checkpoint."""
+        """Adopt a remotely-fed member's state: the member's detector
+        folds the shipped records and loads the worker's checkpoint, the
+        router is rebuilt around it (the restart_member pattern), its
+        alarms join the old ones and replay onto the federation bus."""
         old_router, old_agent = self.member(name)
         router = LeafRouter(
             stub_network=old_router.stub_network,
@@ -521,27 +533,12 @@ class Federation:
             name=old_router.name,
             obs=self._obs,
         )
-        detector = SynDog.restore(
-            outcome.detector_state, obs=self._obs, name=old_router.name,
-            counted=False,
-        )
-        # Restore resumes at next_period_index with an empty history and
-        # empty in-period counters (correct for a crash, where both are
-        # genuinely lost).  This member did not crash — splice its full
-        # record history back in and reinject the open period's partial
-        # counts so a later finish()/status() is indistinguishable from
-        # a serially-fed member's.
-        prior = list(old_agent.detector._records)
-        detector._records = prior + list(outcome.records)
-        detector._period_offset = (
-            int(outcome.detector_state["next_period_index"])
-            - len(detector._records)
-        )
-        detector.exchange.outbound._count = outcome.pending_syn
-        detector.exchange.inbound._count = outcome.pending_synack
+        detector = old_agent.detector
+        detector.adopt(outcome.detector_state, outcome.records)
+        _set_pending(detector, outcome.pending_syn, outcome.pending_synack)
         _router, agent = self._install_member(name, router, detector)
         agent._responded = outcome.responded
-        agent.alarm_events = list(outcome.alarm_events)
+        agent.alarm_events = old_agent.alarm_events + list(outcome.alarm_events)
         relay = self._alarm_relay(name)
         for event in outcome.alarm_events:
             relay(event)
@@ -566,23 +563,16 @@ class Federation:
         states: List[AgentState] = []
         for name, (_router, agent) in sorted(self._members.items()):
             detector = agent.detector
-            record = detector.records[-1] if detector.records else None
+            record = detector.last_record
             states.append(
-                AgentState(
-                    name=name,
-                    delta=(
-                        float(record.syn_count - record.synack_count)
-                        if record is not None
-                        else 0.0
-                    ),
-                    x=record.x if record is not None else 0.0,
-                    cusum=detector.statistic,
-                    degraded_periods=sum(
-                        1 for r in detector.records if r.degraded
-                    ),
-                    alarms=len(agent.alarm_events),
-                    alarm=detector.alarm,
-                    down=name in self._down,
+                agent_state(
+                    name,
+                    None if record is None
+                    else period_point(record, detector.parameters.threshold),
+                    detector.degraded_periods,
+                    detector.alarm_rises,
+                    detector.alarm,
+                    name in self._down,
                 )
             )
         return states
@@ -590,17 +580,11 @@ class Federation:
     def rollup(self, k: Optional[int] = None) -> FleetRollup:
         """The fleet's current telemetry rollup — O(K·buckets) however
         many members are enrolled."""
-        watermark = None
-        for _name, (_router, agent) in self._members.items():
-            records = agent.detector.records
-            if records:
-                end_time = records[-1].end_time
-                if watermark is None or end_time > watermark:
-                    watermark = end_time
+        last = [agent.detector.last_record for _r, agent in self._members.values()]
         return FleetRollup.from_states(
             self.agent_states(),
             k=self.fleet_top_k if k is None else k,
-            watermark=watermark,
+            watermark=max((r.end_time for r in last if r is not None), default=None),
         )
 
     @property
@@ -724,11 +708,11 @@ class Federation:
             detector = agent.detector
             report[name] = {
                 "router": router.name,
-                "periods": len(detector.records),
+                "periods": detector.next_period_index,
                 "alarm": detector.alarm,
                 "statistic": detector.statistic,
                 "k_bar": detector.k_bar,
-                "alarms_seen": len(agent.alarm_events),
+                "alarms_seen": detector.alarm_rises,
                 "down": name in self._down,
                 "restarts": self._restarts.get(name, 0),
             }

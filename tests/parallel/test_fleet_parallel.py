@@ -4,17 +4,26 @@ processed counts, alarm bus, metrics and events — and member crashes
 must keep the serial supervisor semantics (isolation, checkpoint
 restart, auto-restart)."""
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.attack import FloodSource
 from repro.obs.events import EventLog, MemorySink
-from repro.obs.merge import canonical_events, render_deterministic
+from repro.obs.merge import canonical_events, render_deterministic, rollup_snapshot
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import FlightRecorder
+from repro.obs.rollup import FleetRollup, rollup_from_events, states_from_recorder
 from repro.obs.runtime import Instrumentation
 from repro.packet import IPv4Network
 from repro.router import Federation, FederationFeedError
-from repro.trace import AUCKLAND, generate_packet_trace
+from repro.trace import (
+    AUCKLAND,
+    AttackWindow,
+    generate_packet_trace,
+    mix_flood_into_packets,
+)
 from repro.trace.synthetic import AddressPlan
 
 NETWORKS = {
@@ -169,3 +178,110 @@ class TestCrashSemantics:
         assert outcomes[3] == outcomes[1]
         assert outcomes[1]["restarts"] == {"eng": 1}
         assert outcomes[1]["down"] == ()
+
+
+def twice_flooded(stub, seed):
+    """Auckland traffic flooded twice at a low rate: the alarm rises
+    near t=260 s, clears, and rises again near t=760 s with no operator
+    acknowledgement in between (so the agent responds only once)."""
+    rng = random.Random(seed)
+    trace = member_traffic(stub, seed, duration=1200.0)
+    for window in (AttackWindow(200.0, 100.0), AttackWindow(700.0, 100.0)):
+        trace = mix_flood_into_packets(
+            trace, FloodSource(pattern=3.0), window, rng
+        )
+    return trace
+
+
+def split_feeds():
+    """Two consecutive feed_all payloads, [0, 600) and [600, 1200) s;
+    only "eng" is flooded, and its first alarm falls in the first one."""
+    halves = ({}, {})
+    for index, (name, stub) in enumerate(sorted(NETWORKS.items())):
+        seed = 20 + index
+        trace = (
+            twice_flooded(stub, seed) if name == "eng"
+            else member_traffic(stub, seed, duration=1200.0)
+        )
+        for half, keep in zip(halves, (
+            lambda packet: packet.timestamp < 600.0,
+            lambda packet: packet.timestamp >= 600.0,
+        )):
+            half[name] = (
+                [p for p in trace.outbound if keep(p)],
+                [p for p in trace.inbound if keep(p)],
+            )
+    return halves
+
+
+class TestConsecutiveFeeds:
+    def test_sharded_feeds_keep_earlier_alarms(self):
+        fingerprints = {}
+        for workers in (1, 2):
+            federation, _traffic, _obs, _sink = fed_with_traffic()
+            for half in split_feeds():
+                federation.feed_all(half, workers=workers)
+            _router, agent = federation.member("eng")
+            assert len(agent.alarm_events) == 1
+            assert federation.status()["eng"]["alarms_seen"] == 2
+            fingerprints[workers] = (
+                {name: member_fingerprint(federation, name)
+                 for name in NETWORKS},
+                federation.status(),
+                federation.alarms,
+            )
+        assert fingerprints[2] == fingerprints[1]
+
+
+def by_member(states):
+    """Recorder and event states name agents by router; the federation
+    names them by member."""
+    return [
+        dataclasses.replace(state, name=state.name.removeprefix("router-"))
+        for state in states
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_three_rollup_sources_agree(workers):
+    """Federation.rollup(), the recorder's /fleet rebuild and the offline
+    event-log rebuild describe one enabled run identically: alarms
+    count rises, degraded periods count, no crash."""
+    sink = MemorySink(max_events=None)
+    events = EventLog(sink)
+    obs = Instrumentation(
+        registry=MetricsRegistry(),
+        events=events,
+        recorder=FlightRecorder(events=events),
+    )
+    federation = Federation(obs=obs)
+    for name, stub in sorted(NETWORKS.items()):
+        federation.add_network(name, stub)
+    for half in split_feeds():
+        federation.feed_all(half, workers=workers)
+    federation.finish(end_time=1200.0)
+    _router, dorms = federation.member("dorms")
+    assert dorms.detector.observe_missing_period().degraded
+
+    live = federation.rollup()
+    assert live.top["alarms"].top()[0]["weight"] == 2
+    assert live.top["degraded"].top()[0]["agent"] == "dorms"
+    k = federation.fleet_top_k
+    recorder = FleetRollup.from_states(
+        by_member(states_from_recorder(obs.recorder)),
+        k=k,
+        watermark=max(
+            point["end_time"]
+            for point in obs.recorder.last_snapshots().values()
+        ),
+    )
+    offline = rollup_from_events(
+        [
+            {**event, "agent": event["agent"].removeprefix("router-")}
+            if "agent" in event else event
+            for event in sink.events
+        ],
+        k=k,
+    )
+    assert rollup_snapshot(recorder) == rollup_snapshot(live)
+    assert rollup_snapshot(offline) == rollup_snapshot(live)
