@@ -20,7 +20,6 @@ from pathlib import Path
 from conftest import emit
 
 from repro.core.syndog import SynDog
-from repro.experiments.streaming import stream_detection
 from repro.fastpath.pipeline import detect_from_pcap_images
 from repro.pcap.reader import PcapReader
 from repro.pcap.writer import packets_to_pcap_bytes
@@ -37,13 +36,10 @@ DURATION_SECONDS = 1800.0
 
 
 def _object_pass(outbound_image, inbound_image):
-    detector = SynDog()
-    result = stream_detection(
-        detector,
+    return SynDog().observe_streams(
         PcapReader(io.BytesIO(outbound_image)).iter_packets(strict=False),
         PcapReader(io.BytesIO(inbound_image)).iter_packets(strict=False),
     )
-    return result
 
 
 def test_fastpath_throughput_vs_object_pipeline():

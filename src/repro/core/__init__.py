@@ -44,6 +44,7 @@ from .sniffer import (
     InboundSniffer,
     OutboundSniffer,
     PeriodReport,
+    merge_directional_streams,
 )
 from .syndog import DetectionRecord, DetectionResult, SynDog
 
@@ -78,6 +79,7 @@ __all__ = [
     "InboundSniffer",
     "OutboundSniffer",
     "PeriodReport",
+    "merge_directional_streams",
     "DetectionRecord",
     "DetectionResult",
     "SynDog",

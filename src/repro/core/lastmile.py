@@ -102,19 +102,9 @@ class LastMileSynDog:
         outbound: Iterable[Packet],
         end_time: Optional[float] = None,
     ) -> DetectionResult:
-        """Replay two time-sorted streams with the last-mile pairing."""
-        merged = sorted(
-            [(packet, True) for packet in inbound]
-            + [(packet, False) for packet in outbound],
-            key=lambda item: item[0].timestamp,
-        )
-        for packet, is_inbound in merged:
-            if is_inbound:
-                self.observe_inbound(packet)
-            else:
-                self.observe_outbound(packet)
-        self.flush(end_time=end_time)
-        return self.result()
+        """Replay the two interfaces' streams with the last-mile pairing
+        (the inner detector's outbound slot takes the inbound stream)."""
+        return self._inner.observe_streams(inbound, outbound, end_time=end_time)
 
     def flush(self, end_time: Optional[float] = None) -> List[DetectionRecord]:
         return self._inner.flush(end_time=end_time)

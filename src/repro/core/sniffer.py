@@ -12,9 +12,10 @@ inside the router" the paper describes.
 from __future__ import annotations
 
 import gc
+import heapq
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..obs.runtime import Instrumentation, resolve_instrumentation
 from ..packet.classify import PacketClass, classify_packet
@@ -26,6 +27,7 @@ __all__ = [
     "InboundSniffer",
     "CountExchange",
     "PeriodReport",
+    "merge_directional_streams",
 ]
 
 
@@ -334,3 +336,28 @@ class CountExchange:
             reports.extend(self._advance_to(end_time))
         reports.append(self._close_period())
         return reports
+
+
+def merge_directional_streams(
+    outbound: Iterable[Packet],
+    inbound: Iterable[Packet],
+) -> Iterator[Tuple[Packet, bool]]:
+    """Interleave the two interfaces' packet streams, lazily.
+
+    Yields ``(packet, is_outbound)`` in timestamp order, pulling one
+    packet at a time from each side (``heapq.merge``), so a replay runs
+    in constant memory.  Ties break outbound-first.  This is the one
+    interleaving rule of the object path; the fastpath's lexsort /
+    two-pointer merge is its columnar replica.
+
+    Each stream is expected to be time-sorted, but nothing is sorted
+    here: the merge compares only the two current heads and never looks
+    ahead.  A packet that arrives late in its own stream (a reordered
+    capture) is yielded when it reaches the head, and
+    :class:`CountExchange` then counts it in the open period — the
+    clock never moves backwards.
+    """
+    tagged_out = ((p.timestamp, 0, p) for p in outbound)
+    tagged_in = ((p.timestamp, 1, p) for p in inbound)
+    for _ts, tag, packet in heapq.merge(tagged_out, tagged_in):
+        yield packet, tag == 0

@@ -30,7 +30,7 @@ from ..packet.packet import Packet
 from .cusum import NonParametricCusum
 from .normalization import NormalizedDifference
 from .parameters import DEFAULT_PARAMETERS, SynDogParameters
-from .sniffer import CountExchange, PeriodReport
+from .sniffer import CountExchange, PeriodReport, merge_directional_streams
 
 __all__ = ["SynDog", "DetectionRecord", "DetectionResult", "CHECKPOINT_VERSION",
            "period_point"]
@@ -459,22 +459,26 @@ class SynDog:
         outbound: Iterable[Packet],
         inbound: Iterable[Packet],
         end_time: Optional[float] = None,
+        stop_at_first_alarm: bool = False,
     ) -> DetectionResult:
-        """Replay two already-captured packet streams through the agent.
+        """Replay the two interfaces' packet streams through the agent.
 
-        The streams must each be time-ordered; they are merged on
-        timestamps, as the router would interleave them in real time.
+        The streams are interleaved lazily by
+        :func:`~repro.core.sniffer.merge_directional_streams`, as the
+        router would see them in real time, so a replay runs in
+        constant memory over any iterables (lists, generators, pcap
+        readers).  With ``stop_at_first_alarm`` the replay returns as
+        soon as the alarm fires — the on-line deployment behaviour,
+        where the response begins mid-stream — without flushing the
+        open period.
         """
-        merged = sorted(
-            [(packet, True) for packet in outbound]
-            + [(packet, False) for packet in inbound],
-            key=lambda item: item[0].timestamp,
-        )
-        for packet, is_outbound in merged:
+        for packet, is_outbound in merge_directional_streams(outbound, inbound):
             if is_outbound:
-                self.observe_outbound(packet)
+                records = self.observe_outbound(packet)
             else:
-                self.observe_inbound(packet)
+                records = self.observe_inbound(packet)
+            if stop_at_first_alarm and any(record.alarm for record in records):
+                return self.result()
         self.flush(end_time=end_time)
         return self.result()
 

@@ -9,8 +9,6 @@ from .sensitivity import SensitivityCell, recommend_parameters, sweep_parameters
 from .streaming import (
     counts_from_pcaps,
     detect_from_pcaps,
-    merge_directional_streams,
-    stream_detection,
 )
 from .export import (
     attack_report_to_dict,
@@ -70,8 +68,6 @@ __all__ = [
     "sweep_parameters",
     "counts_from_pcaps",
     "detect_from_pcaps",
-    "merge_directional_streams",
-    "stream_detection",
     "attack_report_to_dict",
     "detection_result_to_dict",
     "figure_to_dict",

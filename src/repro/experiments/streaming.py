@@ -3,8 +3,9 @@
 A deployed SYN-dog never holds a trace in memory — it processes an
 unbounded packet stream with O(1) state.  This module gives the library
 the same property when reading capture files: the two interface pcaps
-are lazily merged on timestamps (heapq.merge over generators) and fed
-to the detector packet by packet, so arbitrarily large captures run in
+are read lazily, interleaved by
+:func:`~repro.core.sniffer.merge_directional_streams` and fed to the
+detector packet by packet, so arbitrarily large captures run in
 constant memory.
 
 ``detect_from_pcaps`` is the function behind the CLI's ``detect
@@ -13,65 +14,21 @@ constant memory.
 
 from __future__ import annotations
 
-import heapq
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
+from ..core.sniffer import CountExchange, merge_directional_streams
 from ..core.syndog import DetectionResult, SynDog
 from ..obs.runtime import Instrumentation
-from ..packet.packet import Packet
 from ..pcap.reader import PcapReader
 
 __all__ = [
     "detect_from_pcaps",
-    "merge_directional_streams",
-    "stream_detection",
     "counts_from_pcaps",
 ]
 
 PathLike = Union[str, Path]
-
-
-def merge_directional_streams(
-    outbound: Iterable[Packet],
-    inbound: Iterable[Packet],
-) -> Iterator[Tuple[Packet, bool]]:
-    """Lazily merge two time-sorted packet streams.
-
-    Yields ``(packet, is_outbound)`` in global timestamp order without
-    materializing either stream (heapq.merge pulls one element at a
-    time).  Ties break outbound-first, deterministically.
-    """
-    tagged_out = ((p.timestamp, 0, p) for p in outbound)
-    tagged_in = ((p.timestamp, 1, p) for p in inbound)
-    for _ts, tag, packet in heapq.merge(tagged_out, tagged_in):
-        yield packet, tag == 0
-
-
-def stream_detection(
-    detector: SynDog,
-    outbound: Iterable[Packet],
-    inbound: Iterable[Packet],
-    end_time: Optional[float] = None,
-    stop_at_first_alarm: bool = False,
-) -> DetectionResult:
-    """Drive *detector* from two lazy packet streams.
-
-    With ``stop_at_first_alarm`` the function returns as soon as the
-    alarm fires — the on-line deployment behaviour, where the response
-    (ingress filtering, paging the operator) begins mid-stream rather
-    than after the capture ends.
-    """
-    for packet, is_outbound in merge_directional_streams(outbound, inbound):
-        if is_outbound:
-            records = detector.observe_outbound(packet)
-        else:
-            records = detector.observe_inbound(packet)
-        if stop_at_first_alarm and any(record.alarm for record in records):
-            return detector.result()
-    detector.flush(end_time=end_time)
-    return detector.result()
 
 
 def counts_from_pcaps(
@@ -99,7 +56,6 @@ def counts_from_pcaps(
         return counts_from_pcaps_fast(
             outbound_path, inbound_path, period=period, name=name
         )
-    from ..core.sniffer import CountExchange
     from ..trace.events import CountTrace, TraceMetadata
 
     exchange = CountExchange(observation_period=period)
@@ -154,9 +110,9 @@ def detect_from_pcaps(
     metric totals (``tests/fastpath`` enforces this).
     """
     if fastpath:
-        from ..fastpath.pipeline import detect_from_pcaps_fast
+        from ..fastpath.pipeline import detect_from_sources
 
-        return detect_from_pcaps_fast(
+        return detect_from_sources(
             outbound_path,
             inbound_path,
             parameters=parameters,
@@ -170,8 +126,7 @@ def detect_from_pcaps(
         # tcpdump, full disk, chaos injection) degrades to "stream ended
         # here" instead of aborting detection; the loss stays visible on
         # the readers' truncation/skipped_records counters.
-        result = stream_detection(
-            detector,
+        result = detector.observe_streams(
             outbound_reader.iter_packets(strict=False),
             inbound_reader.iter_packets(strict=False),
             stop_at_first_alarm=stop_at_first_alarm,

@@ -34,7 +34,6 @@ from .pipeline import (
     DirectionColumns,
     counts_from_pcaps_fast,
     detect_from_pcap_images,
-    detect_from_pcaps_fast,
     scan_capture,
 )
 
@@ -53,6 +52,5 @@ __all__ = [
     "DirectionColumns",
     "scan_capture",
     "detect_from_pcap_images",
-    "detect_from_pcaps_fast",
     "counts_from_pcaps_fast",
 ]

@@ -7,10 +7,12 @@ callbacks:
 
 * the two interface captures are scanned into decoded-record columns
   (timestamp + class code) by :func:`scan_capture`;
-* the directions are merged in global timestamp order — a stable
+* the directions are interleaved by the object path's one rule,
+  :func:`~repro.core.sniffer.merge_directional_streams` (ties
+  outbound-first, no lookahead), replicated over columns — a stable
   lexsort on (timestamp, direction) when both captures are time-sorted,
-  an exact two-pointer replica of ``heapq.merge`` (ties outbound-first)
-  when a fault-injected capture is reordered;
+  an exact two-pointer replica when a fault-injected capture is
+  reordered;
 * period boundaries replicate ``CountExchange``'s *accumulated* float
   clock (``start += t0`` per close, not ``start + k*t0``), and each
   packet lands in the period given by the running max of merged
@@ -49,7 +51,6 @@ __all__ = [
     "DirectionColumns",
     "scan_capture",
     "detect_from_pcap_images",
-    "detect_from_pcaps_fast",
     "counts_from_pcaps_fast",
 ]
 
@@ -154,11 +155,13 @@ def scan_capture(
 # Merge + periodize
 # ----------------------------------------------------------------------
 def _two_pointer_merge(ts_out: np.ndarray, ts_in: np.ndarray) -> np.ndarray:
-    """Exact replica of ``heapq.merge`` over the two tagged streams
-    (tags 0=outbound, 1=inbound): repeatedly take whichever stream's
-    head has the smaller (timestamp, tag) key.  Valid for *unsorted*
-    inputs too — reordered fault-injected captures — because with two
-    iterators the heap degenerates to this head-vs-head comparison."""
+    """Exact replica of
+    :func:`~repro.core.sniffer.merge_directional_streams` over the two
+    tagged streams (tags 0=outbound, 1=inbound): repeatedly take
+    whichever stream's head has the smaller (timestamp, tag) key.
+    Valid for *unsorted* inputs too — reordered fault-injected captures
+    — because with two iterators the heap degenerates to this
+    head-vs-head comparison."""
     n_out, n_in = len(ts_out), len(ts_in)
     order = np.empty(n_out + n_in, dtype=np.int64)
     a = ts_out.tolist()
@@ -200,7 +203,7 @@ def _merge_columns(out: DirectionColumns, inb: DirectionColumns) -> _Merged:
     tag[out.decoded:] = 1
     codes = np.concatenate([out.codes, inb.codes])
     if _is_sorted(out.timestamps) and _is_sorted(inb.timestamps):
-        # Stable sort on (timestamp, tag) == heapq.merge on sorted input.
+        # Stable sort on (timestamp, tag) == the object merge on sorted input.
         order = np.lexsort((tag, ts))
     else:
         order = _two_pointer_merge(out.timestamps, inb.timestamps)
@@ -449,26 +452,6 @@ def detect_from_sources(
     grid = _periodize(merged, detector.parameters.observation_period)
     _drive_detector(detector, merged, grid, stop_at_first_alarm)
     return detector.result(), detector
-
-
-def detect_from_pcaps_fast(
-    outbound_path: PathLike,
-    inbound_path: PathLike,
-    parameters: SynDogParameters = DEFAULT_PARAMETERS,
-    stop_at_first_alarm: bool = False,
-    obs: Optional[Any] = None,
-    block_bytes: int = DEFAULT_BLOCK_BYTES,
-) -> Tuple[DetectionResult, SynDog]:
-    """Drop-in columnar replacement for ``detect_from_pcaps`` — same
-    tolerant truncation semantics, byte-identical results."""
-    return detect_from_sources(
-        outbound_path,
-        inbound_path,
-        parameters=parameters,
-        stop_at_first_alarm=stop_at_first_alarm,
-        obs=obs,
-        block_bytes=block_bytes,
-    )
 
 
 def detect_from_pcap_images(

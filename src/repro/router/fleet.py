@@ -385,6 +385,10 @@ class Federation:
         prof = self._prof_feed
         token = None if prof is None else prof.begin()
         try:
+            # Read both sources before replaying, as the sharded feed
+            # does: a source that dies mid-read crashes the member with
+            # no packet forwarded, at any worker count.
+            outbound, inbound = tuple(outbound), tuple(inbound)
             processed = router.replay(outbound, inbound)
         except Exception as error:
             # The crashed replay's token is dropped: only completed

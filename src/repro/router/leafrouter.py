@@ -20,6 +20,7 @@ import time
 from contextlib import nullcontext
 from typing import Callable, Iterable, List, Optional
 
+from ..core.sniffer import merge_directional_streams
 from ..defense.ingress import IngressFilter
 from ..obs.runtime import Instrumentation, resolve_instrumentation
 from ..packet.addresses import IPv4Network
@@ -173,22 +174,20 @@ class LeafRouter:
         outbound: Iterable[Packet],
         inbound: Iterable[Packet],
     ) -> int:
-        """Replay two time-sorted streams through the router in global
-        timestamp order; returns the number of packets processed."""
-        merged = sorted(
-            [(packet, True) for packet in outbound]
-            + [(packet, False) for packet in inbound],
-            key=lambda item: item[0].timestamp,
-        )
+        """Replay the two interfaces' streams through the router,
+        interleaved by :func:`~repro.core.sniffer.merge_directional_streams`;
+        returns the number of packets processed."""
         span = (
             self._tracer.span("router.replay")
             if self._tracer is not None
             else nullcontext()
         )
+        processed = 0
         with span:
-            for packet, is_outbound in merged:
+            for packet, is_outbound in merge_directional_streams(outbound, inbound):
                 if is_outbound:
                     self.forward_outbound(packet)
                 else:
                     self.forward_inbound(packet)
-        return len(merged)
+                processed += 1
+        return processed

@@ -1,18 +1,16 @@
 """Streaming-detection tests: lazy merging, constant-memory pcap path,
 early stopping."""
 
+import io
 import random
 
-import pytest
-
 from repro.core import SynDog
-from repro.experiments.streaming import (
-    detect_from_pcaps,
-    merge_directional_streams,
-    stream_detection,
-)
+from repro.core.sniffer import merge_directional_streams
+from repro.experiments.streaming import detect_from_pcaps
+from repro.fastpath.pipeline import detect_from_pcap_images
 from repro.packet.packet import make_syn, make_syn_ack
-from repro.pcap.writer import write_pcap
+from repro.pcap.reader import PcapReader
+from repro.pcap.writer import packets_to_pcap_bytes, write_pcap
 from repro.trace.mixer import AttackWindow, mix_flood_into_packets
 from repro.trace.profiles import AUCKLAND
 from repro.trace.synthetic import generate_packet_trace
@@ -48,22 +46,27 @@ class TestMerge:
         assert pulled == [1.0, 10.0] or pulled == [1.0]  # at most one lookahead
 
 
+def _packets(image):
+    return PcapReader(io.BytesIO(image)).iter_packets(strict=False)
+
+
 class TestStreamDetection:
-    def test_matches_batch_path(self):
+    def test_matches_fastpath(self):
+        """Packet-by-packet replay over lazy iterators must give the
+        columnar pipeline's exact result on the same captures."""
         rng = random.Random(1)
         trace = generate_packet_trace(AUCKLAND, seed=1, duration=1200.0)
         mixed = mix_flood_into_packets(
             trace, FloodSource(pattern=10.0), AttackWindow(240.0, 600.0), rng
         )
-        batch = SynDog().observe_streams(
-            mixed.outbound, mixed.inbound, end_time=1200.0
+        out_image = packets_to_pcap_bytes(mixed.outbound)
+        in_image = packets_to_pcap_bytes(mixed.inbound)
+        streamed = SynDog().observe_streams(
+            _packets(out_image), _packets(in_image)
         )
-        streamed = stream_detection(
-            SynDog(), iter(mixed.outbound), iter(mixed.inbound),
-            end_time=1200.0,
-        )
-        assert streamed.alarmed == batch.alarmed
-        assert streamed.statistics == pytest.approx(batch.statistics)
+        fast, _dog = detect_from_pcap_images(out_image, in_image)
+        assert streamed.alarmed
+        assert streamed == fast
 
     def test_stop_at_first_alarm_truncates(self):
         rng = random.Random(2)
@@ -71,11 +74,11 @@ class TestStreamDetection:
         mixed = mix_flood_into_packets(
             trace, FloodSource(pattern=10.0), AttackWindow(240.0, 600.0), rng
         )
-        full = stream_detection(
-            SynDog(), iter(mixed.outbound), iter(mixed.inbound), end_time=1800.0
+        full = SynDog().observe_streams(
+            iter(mixed.outbound), iter(mixed.inbound), end_time=1800.0
         )
-        early = stream_detection(
-            SynDog(), iter(mixed.outbound), iter(mixed.inbound),
+        early = SynDog().observe_streams(
+            iter(mixed.outbound), iter(mixed.inbound),
             stop_at_first_alarm=True,
         )
         assert early.alarmed and full.alarmed

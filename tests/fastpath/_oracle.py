@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 
 from repro.core.parameters import DEFAULT_PARAMETERS, SynDogParameters
 from repro.core.syndog import SynDog
-from repro.experiments.streaming import stream_detection
 from repro.fastpath.pipeline import (
     DirectionColumns,
     detect_from_pcap_images,
@@ -87,8 +86,7 @@ def object_detect(
     """The oracle detection run over two in-memory captures (tolerant
     reads, like detect_from_pcaps with fastpath=False)."""
     detector = SynDog(parameters=parameters, obs=obs)
-    result = stream_detection(
-        detector,
+    result = detector.observe_streams(
         PcapReader(io.BytesIO(outbound_image)).iter_packets(strict=False),
         PcapReader(io.BytesIO(inbound_image)).iter_packets(strict=False),
         stop_at_first_alarm=stop_at_first_alarm,

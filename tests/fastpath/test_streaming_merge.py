@@ -1,11 +1,14 @@
 """Two-interface timestamp-merge equivalence.
 
-``experiments.streaming`` merges the interface captures lazily with
-``heapq.merge`` (ties outbound-first); the fastpath merges columns with
-a stable lexsort when both captures are time-sorted and an exact
-two-pointer replica of the heap when they are not.  These tests pin the
-two implementations to each other packet by packet — on identical
-captures, clock-skewed captures, and jittered (unsorted) captures.
+``core.sniffer.merge_directional_streams`` is the object path's one
+interleaving rule: a lazy ``heapq.merge``, ties outbound-first, no
+lookahead.  The fastpath merges columns with a stable lexsort when both
+captures are time-sorted and an exact two-pointer replica of the heap
+when they are not.  These tests pin the two implementations to each
+other packet by packet — on identical captures, clock-skewed captures,
+and jittered (unsorted) captures — and pin every object-path replay
+(detector, router, federation, last-mile variant) to the fastpath on
+reordered captures.
 """
 
 from __future__ import annotations
@@ -14,12 +17,21 @@ import io
 import random
 
 import numpy as np
+import pytest
 
-from repro.experiments.streaming import merge_directional_streams
-from repro.fastpath.pipeline import _merge_columns, scan_capture
-from repro.faults.models import skew_timestamp
+from repro.core.lastmile import LastMileSynDog
+from repro.core.sniffer import merge_directional_streams
+from repro.core.syndog import SynDog
+from repro.fastpath.pipeline import (
+    _merge_columns,
+    detect_from_pcap_images,
+    scan_capture,
+)
+from repro.faults.models import reorder_stream, skew_timestamp
+from repro.packet.addresses import IPv4Network
 from repro.pcap.reader import PcapReader
 from repro.pcap.writer import packets_to_pcap_bytes
+from repro.router import Federation, LeafRouter, SynDogAgent
 from repro.trace.profiles import SITE_PROFILES
 from repro.trace.synthetic import generate_packet_trace
 
@@ -146,3 +158,101 @@ class TestMergeEquivalence:
         _assert_merges_equal(image, empty)
         _assert_merges_equal(empty, image)
         _assert_merges_equal(empty, empty)
+
+
+# ----------------------------------------------------------------------
+# Reordered captures through every object-path replay
+# ----------------------------------------------------------------------
+REORDERED_CASES = [
+    (site, seed) for site in ("harvard", "auckland", "lbl") for seed in (1, 2)
+]
+STUB = IPv4Network.parse("10.0.0.0/8")
+
+
+def _reordered_images(site: str, seed: int, duration: float = 400.0):
+    """Both interfaces displaced by multi-path reordering, so packets
+    arrive late within their own capture."""
+    trace = generate_packet_trace(
+        SITE_PROFILES[site], seed=seed, duration=duration
+    )
+    rng = random.Random(seed)
+    return (
+        packets_to_pcap_bytes(
+            reorder_stream(trace.outbound, rng, probability=0.2, window=8)
+        ),
+        packets_to_pcap_bytes(
+            reorder_stream(trace.inbound, rng, probability=0.2, window=8)
+        ),
+    )
+
+
+def _packets(image: bytes):
+    return PcapReader(io.BytesIO(image)).iter_packets(strict=False)
+
+
+def _periods(records):
+    return [
+        (r.period_index, r.syn_count, r.synack_count, r.statistic, r.alarm)
+        for r in records
+    ]
+
+
+@pytest.fixture(scope="module")
+def reordered():
+    """``{name: (outbound image, inbound image, fastpath periods)}``."""
+    cases = {}
+    for site, seed in REORDERED_CASES:
+        out_image, in_image = _reordered_images(site, seed)
+        timestamps = scan_capture(out_image).timestamps
+        assert np.any(timestamps[1:] < timestamps[:-1])  # really reordered
+        _result, dog = detect_from_pcap_images(out_image, in_image)
+        cases[f"{site}-{seed}"] = (out_image, in_image, _periods(dog.records))
+    return cases
+
+
+class TestReorderedCaptureReplays:
+    """A late packet counts in the open period on every path: the
+    object replays must reproduce the fastpath's per-period counts,
+    statistics and alarms exactly."""
+
+    def test_syndog_observe_streams(self, reordered):
+        for out_image, in_image, expected in reordered.values():
+            dog = SynDog()
+            dog.observe_streams(_packets(out_image), _packets(in_image))
+            assert _periods(dog.records) == expected
+
+    def test_leaf_router_replay(self, reordered):
+        for out_image, in_image, expected in reordered.values():
+            router = LeafRouter(STUB)
+            agent = SynDogAgent(router)
+            router.replay(_packets(out_image), _packets(in_image))
+            agent.finish()
+            assert _periods(agent.detector.records) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_federation_feed_all(self, reordered, workers):
+        federation = Federation()
+        for name in reordered:
+            federation.add_network(name, STUB)
+        federation.feed_all(
+            {
+                name: (_packets(out_image), _packets(in_image))
+                for name, (out_image, in_image, _) in reordered.items()
+            },
+            workers=workers,
+        )
+        federation.finish()
+        for name, (_out, _in, expected) in reordered.items():
+            _router, agent = federation.member(name)
+            assert _periods(agent.detector.records) == expected
+
+    def test_last_mile_observe_streams(self, reordered):
+        """The victim-side variant feeds its inbound stream to the
+        inner detector's SYN slot, so ``inbound=X, outbound=Y`` must
+        match the fastpath over the images ``(X, Y)``."""
+        for out_image, in_image, expected in reordered.values():
+            dog = LastMileSynDog()
+            result = dog.observe_streams(
+                inbound=_packets(out_image), outbound=_packets(in_image)
+            )
+            assert _periods(result.records) == expected

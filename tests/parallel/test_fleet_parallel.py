@@ -162,7 +162,7 @@ class TestCrashSemantics:
     def test_auto_restart_matches_serial_policy(self):
         outcomes = {}
         for workers in (1, 3):
-            federation, traffic, _obs, _sink = fed_with_traffic(
+            federation, traffic, obs, _sink = fed_with_traffic(
                 auto_restart=True
             )
             eng = member_traffic(NETWORKS["eng"], seed=10)
@@ -174,6 +174,9 @@ class TestCrashSemantics:
                 "processed": processed,
                 "down": federation.members_down,
                 "restarts": federation.restarts,
+                # A source that dies mid-read forwards no packet at any
+                # worker count: nothing leaks into the packet counters.
+                "metrics": render_deterministic(obs.registry),
             }
         assert outcomes[3] == outcomes[1]
         assert outcomes[1]["restarts"] == {"eng": 1}
