@@ -322,7 +322,7 @@ def test_tsdb_overhead_within_budget():
     for packet in packets:
         dog.observe_outbound(packet)
     dog.flush()
-    (cusum,) = dog._tsdb.series("syndog_cusum")
+    (cusum,) = dog._periods.obs.tsdb.series("syndog_cusum")
     assert len(cusum.samples) == int(
         NUM_PACKETS * PACKET_SPACING / DEFAULT_PARAMETERS.observation_period
     )

@@ -1120,8 +1120,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             args.synthetic, seed=args.seed, k=args.k, workers=args.workers
         )
         if args.serve is not None:
-            from .core.syndog import DetectionRecord, period_point
+            from .core.syndog import DetectionRecord
             from .obs import enabled_instrumentation
+            from .obs.fanout import fold_period
             from .obs.rollup import synthetic_fleet_states
 
             obs = enabled_instrumentation(memory_events=True)
@@ -1135,8 +1136,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                     x=state.x, statistic=state.cusum, alarm=state.alarm,
                     degraded=state.degraded_periods > 0,
                 )
-                point = period_point(record, DEFAULT_PARAMETERS.threshold)
-                obs.recorder.record(state.name, point)
+                fold_period(obs, state.name, record,
+                            DEFAULT_PARAMETERS.threshold)
             with _serving(obs, args.serve, hold=args.hold or 0.0):
                 pass
     if args.json:

@@ -22,18 +22,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
+from ..obs.fanout import PeriodFanOut, count_checkpoint_restore
 from ..obs.runtime import Instrumentation, resolve_instrumentation
-from ..obs.tsdb import append_period_point
 from ..packet.packet import Packet
 from .cusum import NonParametricCusum
 from .normalization import NormalizedDifference
 from .parameters import DEFAULT_PARAMETERS, SynDogParameters
 from .sniffer import CountExchange, PeriodReport, merge_directional_streams
 
-__all__ = ["SynDog", "DetectionRecord", "DetectionResult", "CHECKPOINT_VERSION",
-           "period_point"]
+__all__ = ["SynDog", "DetectionRecord", "DetectionResult", "CHECKPOINT_VERSION"]
 
 #: Version tag written into every checkpoint so a future format change
 #: can refuse (or migrate) stale state instead of silently misreading it.
@@ -59,25 +58,6 @@ class DetectionRecord:
     statistic: float   #: CUSUM statistic y_n
     alarm: bool        #: decision d_N(y_n)
     degraded: bool = False  #: counts were carried forward / held, not observed
-
-
-def period_point(record: DetectionRecord, threshold: float) -> Dict[str, Any]:
-    """One period's trajectory point: the ``period`` event body, the
-    flight-recorder snapshot and the source of the ``syndog_*`` series.
-    The threshold rides along so an alarm context replays on its own."""
-    return {
-        "period_index": record.period_index,
-        "start_time": record.start_time,
-        "end_time": record.end_time,
-        "syn": record.syn_count,
-        "synack": record.synack_count,
-        "k_bar": record.k_bar,
-        "x": record.x,
-        "statistic": record.statistic,
-        "threshold": threshold,
-        "alarm": record.alarm,
-        "degraded": record.degraded,
-    }
 
 
 @dataclass(frozen=True)
@@ -186,61 +166,9 @@ class SynDog:
         # source) and how many periods in a row went missing.
         self._last_counts: Optional[Tuple[int, int]] = None
         self._consecutive_missing = 0
-        # Per-period instruments; bound once (see repro.obs hot-path
-        # contract).  Period cadence is t0 = 20 s, so the enabled cost
-        # is negligible even on heavy traffic.
-        if obs.registry.enabled:
-            registry = obs.registry
-            self._m_periods = registry.counter(
-                "syndog_periods_total", "Observation periods processed"
-            )
-            self._m_syn = registry.counter(
-                "syndog_syn_total", "Outbound SYNs aggregated over all periods"
-            )
-            self._m_synack = registry.counter(
-                "syndog_synack_total",
-                "Inbound SYN/ACKs aggregated over all periods",
-            )
-            self._m_transitions = registry.counter(
-                "syndog_alarm_transitions_total",
-                "Alarm state transitions",
-                ("state",),
-            )
-            self._g_statistic = registry.gauge(
-                "syndog_statistic", "Current CUSUM statistic y_n"
-            )
-            self._g_x = registry.gauge(
-                "syndog_x", "Latest normalized difference X_n"
-            )
-            self._g_k_bar = registry.gauge(
-                "syndog_k_bar", "Current EWMA estimate of SYN/ACKs per period"
-            )
-            self._g_alarm = registry.gauge(
-                "syndog_alarm", "Current decision d_N (1 = flooding source)"
-            )
-            self._m_degraded = registry.counter(
-                "degraded_periods_total",
-                "Observation periods handled in degraded mode "
-                "(carried forward or held), by agent",
-                ("agent",),
-            ).labels(self.name)
-        else:
-            self._m_periods = None
-            self._m_syn = None
-            self._m_synack = None
-            self._m_transitions = None
-            self._g_statistic = None
-            self._g_x = None
-            self._g_k_bar = None
-            self._g_alarm = None
-            self._m_degraded = None
-        self._events = obs.events if obs.events.enabled else None
-        self._recorder = obs.recorder if obs.recorder.enabled else None
-        self._tsdb = obs.tsdb if obs.tsdb.enabled else None
-        self._alerts = obs.alerts if obs.alerts.enabled else None
-        self._wants_point = (
-            obs.tsdb.enabled or obs.events.enabled or obs.recorder.enabled
-        )
+        # Every closed period's telemetry, in one fixed order; empty
+        # (one check per period) when the bundle is disabled.
+        self._periods = PeriodFanOut(obs, self.name, parameters.threshold)
         # Per-period stage: always timed in timers mode (sample_every=1)
         # — period cadence is t0 = 20 s, clocks here are cheap.
         self._prof_cusum = (
@@ -295,7 +223,9 @@ class SynDog:
             self._last_counts is None
             or self._consecutive_missing > self.staleness_cap
         ):
-            return self._hold_period(start_time)
+            # Hold: period index and clock advance, statistic and K̄
+            # do not.
+            return self._close(start_time, 0, 0, 0.0, degraded=True)
         syn_count, synack_count = self._last_counts
         return self._ingest(syn_count, synack_count, start_time, degraded=True)
 
@@ -314,22 +244,29 @@ class SynDog:
         start_time: Optional[float],
         degraded: bool,
     ) -> DetectionRecord:
-        period_index, start_time = self._period_coordinates(start_time)
+        # One "cusum.step" = normalization (Δ_n → X_n) + CUSUM update,
+        # attributed per period.
         prof = self._prof_cusum
-        if prof is None:
-            x = self.normalizer.observe(
-                syn_count, synack_count, alarm_active=self.cusum.alarm
-            )
-            state = self.cusum.update(x)
-        else:
-            # One "cusum.step" = normalization (Δ_n → X_n) + CUSUM
-            # update, attributed per period.
-            token = prof.begin()
-            x = self.normalizer.observe(
-                syn_count, synack_count, alarm_active=self.cusum.alarm
-            )
-            state = self.cusum.update(x)
+        token = None if prof is None else prof.begin()
+        x = self.normalizer.observe(
+            syn_count, synack_count, alarm_active=self.cusum.alarm
+        )
+        self.cusum.update(x)
+        if prof is not None:
             prof.end(token, packets=1)
+        return self._close(start_time, syn_count, synack_count, x, degraded)
+
+    def _close(
+        self,
+        start_time: Optional[float],
+        syn_count: int,
+        synack_count: int,
+        x: float,
+        degraded: bool,
+    ) -> DetectionRecord:
+        """Record the period at the current K̄ and CUSUM state, fold it
+        into the summary and fan it out."""
+        period_index, start_time = self._period_coordinates(start_time)
         record = DetectionRecord(
             period_index=period_index,
             start_time=start_time,
@@ -338,30 +275,13 @@ class SynDog:
             synack_count=synack_count,
             k_bar=self.normalizer.k_bar,
             x=x,
-            statistic=state.statistic,
-            alarm=state.alarm,
-            degraded=degraded,
-        )
-        self._emit_record(record)
-        return record
-
-    def _hold_period(self, start_time: Optional[float]) -> DetectionRecord:
-        """Freeze-in-place handling of a stale gap: period index and
-        clock advance, statistic and K̄ do not."""
-        period_index, start_time = self._period_coordinates(start_time)
-        record = DetectionRecord(
-            period_index=period_index,
-            start_time=start_time,
-            end_time=start_time + self.parameters.observation_period,
-            syn_count=0,
-            synack_count=0,
-            k_bar=self.normalizer.k_bar,
-            x=0.0,
             statistic=self.cusum.statistic,
             alarm=self.cusum.alarm,
-            degraded=True,
+            degraded=degraded,
         )
-        self._emit_record(record)
+        transition = record.alarm != self._prev_alarm
+        self._fold(record)
+        self._periods.emit(record, transition)
         return record
 
     def _fold(self, record: DetectionRecord) -> None:
@@ -378,51 +298,6 @@ class SynDog:
             if not self._prev_alarm:
                 self._alarm_rises += 1
         self._prev_alarm = record.alarm
-
-    def _emit_record(self, record: DetectionRecord) -> None:
-        transition = record.alarm != self._prev_alarm
-        self._fold(record)
-        point = (
-            period_point(record, self.parameters.threshold)
-            if self._wants_point else None
-        )
-        if self._tsdb is not None:
-            # Snapshot the pipeline *before* this period's emissions
-            # (the parallel merge re-creates exactly this watermark by
-            # ticking before re-emitting each period event), then
-            # retain the full per-period trajectory point.
-            self._tsdb.tick(record.end_time)
-            append_period_point(self._tsdb, self.name, point)
-        if self._m_periods is not None:
-            self._m_periods.inc()
-            self._m_syn.inc(record.syn_count)
-            self._m_synack.inc(record.synack_count)
-            self._g_statistic.set(record.statistic)
-            self._g_x.set(record.x)
-            self._g_k_bar.set(record.k_bar)
-            self._g_alarm.set(1.0 if record.alarm else 0.0)
-            if record.degraded:
-                self._m_degraded.inc()
-            if transition:
-                self._m_transitions.labels(
-                    "raised" if record.alarm else "cleared"
-                ).inc()
-        if self._events is not None:
-            self._events.emit("period", agent=self.name, **point)
-            if transition:
-                self._events.emit(
-                    "alarm_raised" if record.alarm else "alarm_cleared",
-                    agent=self.name,
-                    period_index=record.period_index,
-                    time=record.end_time,
-                    statistic=record.statistic,
-                    k_bar=record.k_bar,
-                )
-        if self._recorder is not None:
-            self._recorder.record(self.name, point)
-        if self._alerts is not None:
-            # Rules see this period's samples: evaluate after the feed.
-            self._alerts.evaluate(record.end_time)
 
     def observe_counts(
         self, counts: Iterable[Tuple[int, int]]
@@ -622,13 +497,8 @@ class SynDog:
             name=name if name is not None else state.get("name"),
         )
         dog.adopt(state, ())
-        if counted and obs.registry.enabled:
-            # Continuity accounting for /healthz: every restart that
-            # resumed from a checkpoint instead of starting cold.
-            obs.registry.counter(
-                "syndog_checkpoints_restored_total",
-                "Detector agents rebuilt from checkpoint state",
-            ).inc()
+        if counted:
+            count_checkpoint_restore(obs)
         return dog
 
     def adopt(self, state: dict, records: Iterable[DetectionRecord]) -> None:
@@ -638,10 +508,7 @@ class SynDog:
         then load the state.  :meth:`restore` is adopt with no records."""
         for record in records:
             self._fold(record)
-            if self._recorder is not None:
-                self._recorder.track(
-                    self.name, period_point(record, self.parameters.threshold)
-                )
+            self._periods.fold(record)
         self._next_period_index = int(state["next_period_index"])
         self._prev_alarm = bool(state["prev_alarm"])
         self.normalizer.estimator.load(state["k_estimate"])

@@ -290,7 +290,6 @@ def run_respond_arm(
 
     def handle(records: List[Any]) -> None:
         for record in records:
-            local_alerts.evaluate(record.end_time)
             engine.step(record.end_time)
 
     def tap_inbound(packet: Any) -> None:

@@ -49,8 +49,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..attack.flooder import FloodSource
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
-from ..core.syndog import SynDog, period_point
+from ..core.syndog import SynDog
 from ..obs import ledger
+from ..obs.fanout import PeriodFanOut
 from ..obs.recorder import FlightRecorder
 from ..obs.runtime import (
     Instrumentation,
@@ -59,7 +60,7 @@ from ..obs.runtime import (
 )
 from ..obs.slo import SLOEngine, builtin_slos
 from ..obs.tracing import Tracer
-from ..obs.tsdb import TimeSeriesDB, append_period_point
+from ..obs.tsdb import TimeSeriesDB
 from ..trace.mixer import AttackWindow, mix_flood_into_counts
 from ..trace.profiles import get_profile
 from ..trace.synthetic import generate_count_trace
@@ -537,11 +538,12 @@ def run_soak_campaign(
             capacity=recorder_capacity, post_alarm_periods=recorder_post
         ),
     )
+    replay = PeriodFanOut(replay_bundle, _AGENT, parameters.threshold)
+    prev_alarm = False
     for task, payload in zip(tasks, payloads):
         for record in payload["records"]:
-            point = period_point(record, parameters.threshold)
-            append_period_point(replay_bundle.tsdb, _AGENT, point)
-            replay_bundle.recorder.record(_AGENT, point)
+            replay.emit(record, record.alarm != prev_alarm)
+            prev_alarm = record.alarm
         extra = {}
         if payload["events_emitted"] is not None:
             extra["obs_ledger_event_sink_depth"] = float(

@@ -25,8 +25,9 @@ callbacks:
 
 Metrics parity: the sniffer/exchange counter totals
 (``sniffer_packets_total``, ``sniffer_packets_counted_total``,
-``exchange_periods_total``) are bulk-incremented to the values the
-object run would leave, and the detector's exchange clock is synced so
+``exchange_periods_total``) are bulk-incremented, through the bound
+handles of the ``CountExchange`` the object run would have fed, to the
+values that run would leave; the detector's exchange clock is synced so
 checkpoints taken after a fastpath run equal the object pipeline's.
 """
 
@@ -40,7 +41,7 @@ from typing import Any, BinaryIO, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
-from ..core.sniffer import Direction
+from ..core.sniffer import CountExchange
 from ..core.syndog import DetectionResult, SynDog
 from ..packet.classify import ClassifierStats
 from ..pcap.format import LINKTYPE_ETHERNET, PcapTruncatedError
@@ -273,39 +274,27 @@ def _periodize(merged: _Merged, period: float, start_time: float = 0.0) -> _Peri
 # Metrics parity
 # ----------------------------------------------------------------------
 def _bulk_counter_totals(
-    registry: Any,
-    out_seen: int,
-    out_counted: int,
-    in_seen: int,
-    in_counted: int,
+    exchange: CountExchange,
+    outbound: np.ndarray,
+    codes: np.ndarray,
     periods: int,
 ) -> None:
-    """Advance the sniffer/exchange counter families to the totals a
-    packet-at-a-time object run would have accumulated."""
-    seen = registry.counter(
-        "sniffer_packets_total",
-        "Packets inspected at the sniffers, by direction",
-        ("direction",),
+    """Advance *exchange*'s bound sniffer/exchange counters to the
+    totals a packet-at-a-time object run through it would have
+    accumulated over the merged lanes *outbound*/*codes* (a no-op when
+    its registry is disabled)."""
+    if exchange._m_out_seen is None:
+        return
+    inbound = ~outbound
+    exchange._m_out_seen.inc(int(np.count_nonzero(outbound)))
+    exchange._m_out_counted.inc(
+        int(np.count_nonzero(outbound & (codes == CLASS_SYN)))
     )
-    counted = registry.counter(
-        "sniffer_packets_counted_total",
-        "Packets matching the sniffer's target class, by direction",
-        ("direction",),
+    exchange._m_in_seen.inc(int(np.count_nonzero(inbound)))
+    exchange._m_in_counted.inc(
+        int(np.count_nonzero(inbound & (codes == CLASS_SYN_ACK)))
     )
-    period_counter = registry.counter(
-        "exchange_periods_total",
-        "Observation periods closed by the count exchange",
-    )
-    if out_seen:
-        seen.labels(Direction.OUTBOUND).inc(out_seen)
-    if in_seen:
-        seen.labels(Direction.INBOUND).inc(in_seen)
-    if out_counted:
-        counted.labels(Direction.OUTBOUND).inc(out_counted)
-    if in_counted:
-        counted.labels(Direction.INBOUND).inc(in_counted)
-    if periods:
-        period_counter.inc(periods)
+    exchange._m_periods.inc(periods)
 
 
 def _drive_detector(
@@ -324,7 +313,6 @@ def _drive_detector(
     syn = grid.syn_counts
     synack = grid.synack_counts
     exchange = detector.exchange
-    registry_live = exchange._m_out_seen is not None
 
     def observe(k: int) -> bool:
         record = detector.observe_period(
@@ -349,22 +337,10 @@ def _drive_detector(
                 exchange.load_state(
                     {"period_index": high, "period_start": starts[high]}
                 )
-                if registry_live:
-                    prefix = slice(0, int(position) + 1)
-                    lane_out = merged.outbound[prefix]
-                    lane_codes = merged.codes[prefix]
-                    _bulk_counter_totals(
-                        _registry_of(exchange),
-                        out_seen=int(np.count_nonzero(lane_out)),
-                        out_counted=int(np.count_nonzero(
-                            lane_out & (lane_codes == CLASS_SYN)
-                        )),
-                        in_seen=int(np.count_nonzero(~lane_out)),
-                        in_counted=int(np.count_nonzero(
-                            ~lane_out & (lane_codes == CLASS_SYN_ACK)
-                        )),
-                        periods=high,
-                    )
+                prefix = slice(0, int(position) + 1)
+                _bulk_counter_totals(
+                    exchange, merged.outbound[prefix], merged.codes[prefix], high
+                )
                 return
     else:
         for k in range(grid.closed_periods):
@@ -375,54 +351,7 @@ def _drive_detector(
     exchange.load_state(
         {"period_index": closed, "period_start": starts[-1] + period}
     )
-    if registry_live:
-        _bulk_counter_totals(
-            _registry_of(exchange),
-            out_seen=int(np.count_nonzero(merged.outbound)),
-            out_counted=int(np.count_nonzero(
-                merged.outbound & (merged.codes == CLASS_SYN)
-            )),
-            in_seen=int(np.count_nonzero(~merged.outbound)),
-            in_counted=int(np.count_nonzero(
-                ~merged.outbound & (merged.codes == CLASS_SYN_ACK)
-            )),
-            periods=closed,
-        )
-
-
-class _HandleRegistry:
-    """Adapter presenting the exchange's bound counter handles through
-    the registry.counter(...).labels(...) shape ``_bulk_counter_totals``
-    uses, so detect and counts share one bulk-increment path."""
-
-    def __init__(self, exchange: Any) -> None:
-        self._exchange = exchange
-
-    def counter(self, name: str, _help: str, labelnames: Tuple[str, ...] = ()) -> Any:
-        exchange = self._exchange
-        if name == "sniffer_packets_total":
-            return _HandleFamily({
-                Direction.OUTBOUND: exchange._m_out_seen,
-                Direction.INBOUND: exchange._m_in_seen,
-            })
-        if name == "sniffer_packets_counted_total":
-            return _HandleFamily({
-                Direction.OUTBOUND: exchange._m_out_counted,
-                Direction.INBOUND: exchange._m_in_counted,
-            })
-        return exchange._m_periods
-
-
-class _HandleFamily:
-    def __init__(self, handles: dict) -> None:
-        self._handles = handles
-
-    def labels(self, direction: str) -> Any:
-        return self._handles[direction]
-
-
-def _registry_of(exchange: Any) -> _HandleRegistry:
-    return _HandleRegistry(exchange)
+    _bulk_counter_totals(exchange, merged.outbound, merged.codes, closed)
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +413,6 @@ def counts_from_pcaps_fast(
     :func:`repro.experiments.streaming.counts_from_pcaps`: aggregate two
     interface captures into a CountTrace with byte-identical per-period
     counts (including the trailing flush period)."""
-    from ..obs.runtime import resolve_instrumentation
     from ..trace.events import CountTrace, TraceMetadata
 
     out_cols = scan_capture(outbound_path, strict=False, block_bytes=block_bytes)
@@ -494,16 +422,12 @@ def counts_from_pcaps_fast(
     reports = list(zip(grid.syn_counts.tolist(), grid.synack_counts.tolist()))
     # Metrics parity with the object aggregation, which feeds an
     # ambient-instrumented CountExchange packet by packet.
-    obs = resolve_instrumentation(None)
-    if obs.registry.enabled:
-        _bulk_counter_totals(
-            obs.registry,
-            out_seen=out_cols.decoded,
-            out_counted=int(np.count_nonzero(out_cols.codes == CLASS_SYN)),
-            in_seen=in_cols.decoded,
-            in_counted=int(np.count_nonzero(in_cols.codes == CLASS_SYN_ACK)),
-            periods=grid.closed_periods + 1,
-        )
+    _bulk_counter_totals(
+        CountExchange(observation_period=period),
+        merged.outbound,
+        merged.codes,
+        grid.closed_periods + 1,
+    )
     metadata = TraceMetadata(
         name=name,
         duration=len(reports) * period,

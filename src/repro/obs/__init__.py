@@ -51,6 +51,9 @@ Modules
     Hot-path per-stage cost attribution (wall/CPU time, packets,
     bytes, allocations) with a deterministic cost-model mode and
     folded-stack / callgrind exports.
+``fanout``
+    The per-period fan-out: the one ordered tuple of consumers every
+    closed detector period reaches, live or replayed.
 ``rollup``
     Fleet-scale telemetry: mergeable fixed-bucket quantile digests,
     Space-Saving top-K suspect rankings and population counters —

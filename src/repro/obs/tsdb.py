@@ -64,6 +64,7 @@ __all__ = [
     "parse_duration",
     "parse_query",
     "tsdb_from_events",
+    "period_point",
     "append_period_point",
     "merge_tsdb",
     "canonical_tsdb",
@@ -814,12 +815,33 @@ def parse_query(expr: str) -> Query:
 # ----------------------------------------------------------------------
 # Offline reconstruction and merge helpers
 # ----------------------------------------------------------------------
+def period_point(record: Any, threshold: float) -> Dict[str, Any]:
+    """One closed period's trajectory point, from a
+    :class:`~repro.core.syndog.DetectionRecord`: the ``period`` event
+    body, the flight-recorder snapshot and the source of the
+    ``syndog_*`` series.  The threshold rides along so an alarm context
+    replays on its own."""
+    return {
+        "period_index": record.period_index,
+        "start_time": record.start_time,
+        "end_time": record.end_time,
+        "syn": record.syn_count,
+        "synack": record.synack_count,
+        "k_bar": record.k_bar,
+        "x": record.x,
+        "statistic": record.statistic,
+        "threshold": threshold,
+        "alarm": record.alarm,
+        "degraded": record.degraded,
+    }
+
+
 def append_period_point(
     tsdb: Any, agent: str, point: Dict[str, Any]
 ) -> None:
-    """Append one detector trajectory point — a ``period`` event body or
-    :func:`repro.core.syndog.period_point` — as the five ``syndog_*``
-    samples (ΔSYN, X_n, y_n, alarm, degraded) at its end time."""
+    """Append one trajectory point — a ``period`` event body or
+    :func:`period_point` — as the five ``syndog_*`` samples (ΔSYN, X_n,
+    y_n, alarm, degraded) at its end time."""
     labels = {"agent": agent}
     t = float(point.get("end_time", 0.0))
     delta = float(point.get("syn", 0)) - float(point.get("synack", 0))

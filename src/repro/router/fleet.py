@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
-from ..core.syndog import SynDog, period_point
+from ..core.syndog import SynDog
 from ..obs.rollup import DEFAULT_TOP_K, AgentState, FleetRollup, agent_state
 from ..obs.runtime import Instrumentation, resolve_instrumentation
+from ..obs.tsdb import period_point
 from ..packet.addresses import IPv4Network
 from ..packet.packet import Packet
 from ..traceback.locator import LocatedHost

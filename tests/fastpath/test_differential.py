@@ -24,7 +24,7 @@ from repro.faults.models import (
     truncate_frame,
     truncate_pcap_image,
 )
-from repro.obs.runtime import enabled_instrumentation
+from repro.obs.runtime import enabled_instrumentation, instrumented
 from repro.pcap.writer import PcapWriter, packets_to_pcap_bytes
 from repro.trace.profiles import SITE_PROFILES
 from repro.trace.synthetic import generate_packet_trace, make_syn, make_syn_ack
@@ -299,6 +299,23 @@ class TestMetricsParity:
                     outbound, inbound, obs=obs, stop_at_first_alarm=True
                 )
             snapshots[fastpath] = metric_totals(obs)
+        assert snapshots[True] == snapshots[False]
+
+    def test_counts_from_pcaps_totals_with_empty_inbound(self, tmp_path):
+        # The object aggregation's CountExchange exports zero-valued
+        # inbound children; the fastpath must too.
+        outbound, _ = _site_images("lbl", seed=3, duration=100.0)
+        out_path = tmp_path / "out.pcap"
+        in_path = tmp_path / "in.pcap"
+        out_path.write_bytes(outbound)
+        in_path.write_bytes(packets_to_pcap_bytes([]))
+        snapshots = {}
+        for fastpath in (False, True):
+            obs = enabled_instrumentation()
+            with instrumented(obs):
+                counts_from_pcaps(out_path, in_path, fastpath=fastpath)
+            snapshots[fastpath] = metric_totals(obs)
+        assert ("sniffer_packets_total", ("direction", "inbound")) in snapshots[False]
         assert snapshots[True] == snapshots[False]
 
 

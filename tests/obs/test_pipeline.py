@@ -72,8 +72,7 @@ class TestSynDogCountLevel:
     def test_uninstrumented_detector_registers_nothing(self):
         dog = SynDog()
         dog.observe_period(100, 100)
-        assert dog._m_periods is None
-        assert dog._events is None
+        assert dog._periods.sinks == ()
 
 
 class TestSynDogPacketLevel:

@@ -151,7 +151,7 @@ class TestSynDogIntegration:
     def test_default_detector_pays_nothing(self):
         dog = SynDog()
         dog.observe_period(100, 100)
-        assert dog._recorder is None
+        assert dog._periods.sinks == ()
 
 
 class TestNullRecorder:

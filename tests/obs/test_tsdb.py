@@ -147,7 +147,7 @@ class TestDetectorFeed:
     def test_disabled_bundle_records_nothing(self):
         dog = SynDog(name="router-a")
         dog.observe_period(100, 100)
-        assert dog._tsdb is None
+        assert dog._periods.sinks == ()
 
 
 class TestQueryParsing:
