@@ -115,30 +115,32 @@ def syn_stream():
     ]
 
 
-def time_pass(make_detector, packets):
-    """Best-of-REPEATS wall clock for one full ingestion pass, fresh
-    detector each repeat (min filters scheduler noise)."""
-    best = float("inf")
+def run_pass(detector, packets):
+    """Wall clock for one full ingestion pass through *detector*."""
+    start = time.perf_counter()
+    for packet in packets:
+        detector.observe_outbound(packet)
+    return time.perf_counter() - start
+
+
+def time_pair(make_bare, make_instrumented, packets):
+    """Best-of-REPEATS wall clock for each side, fresh detector each
+    repeat.  The sides alternate repeat by repeat so host drift lands
+    on both equally; the min filters scheduler noise."""
+    bare = instrumented = float("inf")
     for _ in range(REPEATS):
-        detector = make_detector()
-        start = time.perf_counter()
-        for packet in packets:
-            detector.observe_outbound(packet)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return best
+        bare = min(bare, run_pass(make_bare(), packets))
+        instrumented = min(instrumented, run_pass(make_instrumented(), packets))
+    return bare, instrumented
 
 
 def test_default_instrumentation_is_free(benchmark):
     packets = syn_stream()
 
     # Warm both paths (imports, classifier dispatch caches).
-    time_pass(BareSynDog, packets[:1000])
-    time_pass(SynDog, packets[:1000])
+    time_pair(BareSynDog, SynDog, packets[:1000])
 
-    bare = time_pass(BareSynDog, packets)
-    instrumented = time_pass(SynDog, packets)
+    bare, instrumented = time_pair(BareSynDog, SynDog, packets)
     ratio = instrumented / bare
 
     artifact = {
@@ -210,13 +212,11 @@ def test_flight_recorder_overhead_within_budget():
         )
         return SynDog(obs=obs)
 
-    time_pass(BareSynDog, packets[:1000])
-    time_pass(recorded_syndog, packets[:1000])
+    time_pair(BareSynDog, recorded_syndog, packets[:1000])
 
     server_obs = Instrumentation(events=EventLog(MemorySink()))
     with ObsServer(server_obs):
-        bare = time_pass(BareSynDog, packets)
-        recorded = time_pass(recorded_syndog, packets)
+        bare, recorded = time_pair(BareSynDog, recorded_syndog, packets)
     ratio = recorded / bare
 
     artifact = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {
@@ -277,23 +277,9 @@ def test_tsdb_overhead_within_budget():
         )
         return SynDog(obs=obs)
 
-    time_pass(plain_syndog, packets[:1000])
-    time_pass(tsdb_syndog, packets[:1000])
+    time_pair(plain_syndog, tsdb_syndog, packets[:1000])
 
-    # Interleave the two sides repeat-by-repeat so scheduler drift
-    # lands on both equally; best-of-min filters the rest.
-    bare = historied = float("inf")
-    for _ in range(REPEATS):
-        detector = plain_syndog()
-        start = time.perf_counter()
-        for packet in packets:
-            detector.observe_outbound(packet)
-        bare = min(bare, time.perf_counter() - start)
-        detector = tsdb_syndog()
-        start = time.perf_counter()
-        for packet in packets:
-            detector.observe_outbound(packet)
-        historied = min(historied, time.perf_counter() - start)
+    bare, historied = time_pair(plain_syndog, tsdb_syndog, packets)
     ratio = historied / bare
 
     artifact = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {

@@ -23,7 +23,6 @@ against.
 """
 
 import json
-import time
 from pathlib import Path
 
 from conftest import emit
@@ -36,10 +35,9 @@ from repro.obs.runtime import enabled_instrumentation
 
 from test_obs_overhead import (
     NUM_PACKETS,
-    REPEATS,
     ARTIFACT,
     syn_stream,
-    time_pass,
+    time_pair,
 )
 
 PROFILE_ARTIFACT = (
@@ -84,23 +82,9 @@ def _update_artifact(**fields):
 def test_disabled_profiler_is_one_none_check():
     packets = syn_stream()
 
-    time_pass(pre_profiler_syndog, packets[:1000])
-    time_pass(SynDog, packets[:1000])
+    time_pair(pre_profiler_syndog, SynDog, packets[:1000])
 
-    # Interleave repeat-by-repeat so scheduler drift lands on both
-    # sides equally; best-of-min filters the rest.
-    bare = guarded = float("inf")
-    for _ in range(REPEATS):
-        detector = pre_profiler_syndog()
-        start = time.perf_counter()
-        for packet in packets:
-            detector.observe_outbound(packet)
-        bare = min(bare, time.perf_counter() - start)
-        detector = SynDog()
-        start = time.perf_counter()
-        for packet in packets:
-            detector.observe_outbound(packet)
-        guarded = min(guarded, time.perf_counter() - start)
+    bare, guarded = time_pair(pre_profiler_syndog, SynDog, packets)
     ratio = guarded / bare
 
     _update_artifact(
@@ -140,21 +124,9 @@ def test_timers_profiler_within_budget():
         )
         return SynDog(obs=obs)
 
-    time_pass(instrumented_syndog, packets[:1000])
-    time_pass(profiled_syndog, packets[:1000])
+    time_pair(instrumented_syndog, profiled_syndog, packets[:1000])
 
-    plain = profiled = float("inf")
-    for _ in range(REPEATS):
-        detector = instrumented_syndog()
-        start = time.perf_counter()
-        for packet in packets:
-            detector.observe_outbound(packet)
-        plain = min(plain, time.perf_counter() - start)
-        detector = profiled_syndog()
-        start = time.perf_counter()
-        for packet in packets:
-            detector.observe_outbound(packet)
-        profiled = min(profiled, time.perf_counter() - start)
+    plain, profiled = time_pair(instrumented_syndog, profiled_syndog, packets)
     ratio = profiled / plain
 
     _update_artifact(

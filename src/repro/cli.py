@@ -1069,8 +1069,8 @@ def _synthetic_fleet_document(
     n: int, seed: int, k: int, workers: int
 ) -> dict:
     """Shard the synthetic fleet through the WorkPlan engine and fold
-    the shard rollups home — the same merge path a sharded federation
-    uses, byte-identical at any worker count."""
+    the shard rollups home with ``merge_rollup_snapshots``,
+    byte-identical at any worker count."""
     from .obs.merge import merge_rollup_snapshots
     from .obs.rollup import synthetic_shard_rollup
     from .parallel import WorkPlan, run_plan

@@ -285,8 +285,8 @@ class SynDog:
         return record
 
     def _fold(self, record: DetectionRecord) -> None:
-        """Fold one record into the history and the O(1) summary — for
-        live periods and for periods a sharded feed closed elsewhere."""
+        """Fold one closed period's record into the history and the
+        O(1) summary."""
         self._records.append(record)
         self._next_period_index += 1
         self._last_record = record
@@ -462,23 +462,18 @@ class SynDog:
         parameters: Optional[SynDogParameters] = None,
         obs: Optional[Instrumentation] = None,
         name: Optional[str] = None,
-        counted: bool = True,
     ) -> "SynDog":
-        """Rebuild an agent from a :meth:`checkpoint` dict.
+        """Rebuild an agent from a :meth:`checkpoint` dict — the one
+        checkpoint loader.
 
         The restored agent produces records from ``next_period_index``
         onward that are bit-identical to what the uninterrupted agent
         would have produced — the guarantee the checkpoint round-trip
-        tests pin down.  ``parameters``/``obs``/``name`` default to the
+        tests pin down.  Its record history starts empty, as a restarted
+        process's would.  ``parameters``/``obs``/``name`` default to the
         checkpointed values (parameters are always reconstructed from
         the checkpoint unless overridden, so a restart cannot silently
         change the test's configuration).
-
-        ``counted=False`` suppresses the
-        ``syndog_checkpoints_restored_total`` tick: the sharded
-        federation feed rebuilds healthy members from shipped
-        checkpoints as a transfer mechanism, and counting those would
-        make the continuity metric depend on ``--workers``.
         """
         version = state.get("version")
         if version != CHECKPOINT_VERSION:
@@ -496,29 +491,18 @@ class SynDog:
             obs=obs,
             name=name if name is not None else state.get("name"),
         )
-        dog.adopt(state, ())
-        if counted:
-            count_checkpoint_restore(obs)
-        return dog
-
-    def adopt(self, state: dict, records: Iterable[DetectionRecord]) -> None:
-        """Continue from a checkpoint *state* that another process ran on
-        from this agent's own checkpoint: fold the *records* it closed
-        (their telemetry was emitted there) into the history and summary,
-        then load the state.  :meth:`restore` is adopt with no records."""
-        for record in records:
-            self._fold(record)
-            self._periods.fold(record)
-        self._next_period_index = int(state["next_period_index"])
-        self._prev_alarm = bool(state["prev_alarm"])
-        self.normalizer.estimator.load(state["k_estimate"])
-        self.cusum.load_state(state["cusum"])
-        self.exchange.load_state(state["exchange"])
+        dog._next_period_index = int(state["next_period_index"])
+        dog._prev_alarm = bool(state["prev_alarm"])
+        dog.normalizer.estimator.load(state["k_estimate"])
+        dog.cusum.load_state(state["cusum"])
+        dog.exchange.load_state(state["exchange"])
         last_counts = state.get("last_counts")
-        self._last_counts = (
+        dog._last_counts = (
             None if last_counts is None else (int(last_counts[0]), int(last_counts[1]))
         )
-        self._consecutive_missing = int(state.get("consecutive_missing", 0))
+        dog._consecutive_missing = int(state.get("consecutive_missing", 0))
+        count_checkpoint_restore(obs)
+        return dog
 
     def clear_alarm(self) -> None:
         """Operator acknowledgement: reset the CUSUM statistic to zero

@@ -5,9 +5,9 @@ tuple of the bundle's enabled consumers; :data:`PERIOD_SINKS` fixes the
 order: history store (tick, then the ``syndog_*`` samples), registry,
 event log, flight recorder, alert manager (last, so rules see this
 period's samples).  A disabled component contributes no sink, so the
-null bundle costs a detector one check per period.  A period closed and
-emitted in another process only folds into the recorder's tape
-(:func:`fold_period`).
+null bundle costs a detector one check per period.  A period closed
+without a live detector (a synthetic fleet's) only folds into the
+recorder's tape (:func:`fold_period`).
 """
 
 from __future__ import annotations
@@ -136,11 +136,10 @@ class PeriodFanOut:
     registers the agent's metric families, so they export at zero
     before its first period."""
 
-    __slots__ = ("obs", "agent", "threshold", "sinks")
+    __slots__ = ("obs", "threshold", "sinks")
 
     def __init__(self, obs: Any, agent: str, threshold: float) -> None:
         self.obs = obs
-        self.agent = agent
         self.threshold = threshold
         built = (build(obs, agent) for build in PERIOD_SINKS)
         self.sinks: Tuple[Sink, ...] = tuple(s for s in built if s is not None)
@@ -154,14 +153,11 @@ class PeriodFanOut:
             for sink in sinks:
                 sink(record, point, transition)
 
-    def fold(self, record: Any) -> None:
-        fold_period(self.obs, self.agent, record, self.threshold)
-
 
 def fold_period(obs: Any, agent: str, record: Any, threshold: float) -> None:
-    """Fold-only entry for a period closed and emitted elsewhere (a
-    sharded feed's worker, a synthetic fleet): the flight recorder's
-    tape takes it without alarm-context capture; nothing else sees it."""
+    """Fold-only entry for a period closed without a live detector (a
+    synthetic fleet's): the flight recorder's tape takes it without
+    alarm-context capture; nothing else sees it."""
     if obs.recorder.enabled:
         obs.recorder.track(agent, period_point(record, threshold))
 

@@ -135,8 +135,8 @@ class FlightRecorder:
 
     def track(self, agent: str, snapshot: Snapshot) -> None:
         """Fold one snapshot into *agent*'s tape — ring, counters, last
-        point — without alarm-context capture: a sharded feed's
-        periods, whose contexts the worker already captured."""
+        point — without alarm-context capture: :meth:`record`'s tail,
+        and the whole of :func:`~repro.obs.fanout.fold_period`."""
         tape = self._tape(agent)
         tape.periods += 1
         tape.last = snapshot

@@ -4,8 +4,8 @@
 record, degraded count, alarm rises and first alarm — and every state
 view (result(), checkpoint(), the federation rollup and status) reads
 those instead of scanning ``records``.  Over random count series with
-missing periods, a checkpoint/restore mid-run and a sharded-style
-adopt, the fields must equal what the records imply.
+missing periods and a checkpoint/restore mid-run, the fields must
+equal what the records imply.
 """
 
 from hypothesis import given
@@ -99,24 +99,5 @@ def test_summary_after_restore_covers_the_restored_history(series, cap, data):
         feed(reference, period)
     assert restored.next_period_index == reference.next_period_index
     assert restored.records == reference.records[cut:]
+    assert restored.checkpoint() == reference.checkpoint()
 
-
-@given(series=periods, cap=staleness_caps, data=st.data())
-def test_adopt_continues_as_if_never_sharded(series, cap, data):
-    """A detector that adopts another process's checkpoint and records
-    ends exactly where an uninterrupted detector does."""
-    cut = data.draw(st.integers(min_value=0, max_value=len(series)))
-    reference = fresh(cap)
-    for period in series:
-        feed(reference, period)
-    member = fresh(cap)
-    for period in series[:cut]:
-        feed(member, period)
-    worker = SynDog.restore(member.checkpoint(), obs=NULL_INSTRUMENTATION)
-    for period in series[cut:]:
-        feed(worker, period)
-    member.adopt(worker.checkpoint(), worker.records)
-    assert member.records == reference.records
-    assert member.checkpoint() == reference.checkpoint()
-    assert summary(member) == summary(reference)
-    assert summary(member) == derived(member.records, 0, False)

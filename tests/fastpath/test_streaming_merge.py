@@ -229,8 +229,7 @@ class TestReorderedCaptureReplays:
             agent.finish()
             assert _periods(agent.detector.records) == expected
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_federation_feed_all(self, reordered, workers):
+    def test_federation_feed_all(self, reordered):
         federation = Federation()
         for name in reordered:
             federation.add_network(name, STUB)
@@ -238,8 +237,7 @@ class TestReorderedCaptureReplays:
             {
                 name: (_packets(out_image), _packets(in_image))
                 for name, (out_image, in_image, _) in reordered.items()
-            },
-            workers=workers,
+            }
         )
         federation.finish()
         for name, (_out, _in, expected) in reordered.items():

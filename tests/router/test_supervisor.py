@@ -5,6 +5,9 @@ import random
 
 import pytest
 
+from repro.obs.merge import render_deterministic
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import Instrumentation
 from repro.packet import IPv4Network
 from repro.router import Federation, FederationFeedError
 from repro.trace import AUCKLAND, generate_packet_trace
@@ -77,6 +80,17 @@ class TestFeedIsolation:
         assert federation.members_down == ()
         assert federation.quorum == 1.0
 
+    def test_feed_all_rejects_workers_other_than_one(self):
+        federation = enrolled_federation()
+        eng = member_traffic(NETWORKS["eng"], seed=1)
+        outbound = iter(eng.outbound)
+        with pytest.raises(ValueError, match="workers"):
+            federation.feed_all({"eng": (outbound, eng.inbound)}, workers=2)
+        # Rejected before any member was fed: its source is unread.
+        assert next(outbound) is eng.outbound[0]
+        assert federation.status()["eng"]["periods"] == 0
+        assert federation.last_rollup is None
+
 
 class TestRestartFromCheckpoint:
     def test_restart_resumes_detector_state(self):
@@ -119,6 +133,32 @@ class TestRestartFromCheckpoint:
         assert federation.members_down == ()
         assert federation.restarts == {"eng": 1}
         assert federation.quorum == 1.0
+
+    def test_auto_restart_source_dies_mid_read(self):
+        obs = Instrumentation(registry=MetricsRegistry())
+        federation = enrolled_federation(auto_restart=True, obs=obs)
+        eng = member_traffic(NETWORKS["eng"], seed=1)
+        dorms = member_traffic(NETWORKS["dorms"], seed=2)
+        processed = federation.feed_all({
+            "eng": (crashing_stream(eng.outbound, 50), eng.inbound),
+            "dorms": (dorms.outbound, dorms.inbound),
+        })
+        assert processed == {"eng": 0, "dorms": dorms.num_packets}
+        assert federation.members_down == ()
+        assert federation.restarts == {"eng": 1}
+        # The 50 packets read before the source died were never
+        # forwarded: every packet counter holds the healthy peer's only.
+        lines = render_deterministic(obs.registry).splitlines()
+        assert not any(
+            line.startswith('federation_packets_total{network="eng"}')
+            for line in lines
+        )
+        forwarded = sum(
+            float(line.rsplit(" ", 1)[1]) for line in lines
+            if line.startswith("router_packets_total{")
+            and 'outcome="forwarded"' in line
+        )
+        assert forwarded == dorms.num_packets
 
     def test_restart_without_checkpoint_starts_fresh(self):
         federation = enrolled_federation()
